@@ -2,7 +2,7 @@
 Command-line surface tying the library into reproducible experiments.
 
 Every subcommand writes one JSON report to stdout embedding the command, the
-effective configuration (threads, seed, caps), and the library version, with
+effective configuration (seed, caps), and the library version, with
 sorted keys so that identical configurations produce byte-identical reports.
 Timing goes to stderr.  Exit codes: 0 success, 1 property violated or an
 inconsistent object detected, 2 bad input, 3 a cap was exceeded.
@@ -85,7 +85,6 @@ def _load_game(spec: str):
 
 def _config(args, extra: dict) -> dict:
     config = {
-        "threads": args.threads,
         "seed": args.seed,
         "format": args.format,
         "caps": {"candidates": args.cap_candidates, "hull_vertices": args.cap_vertices},
@@ -437,13 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     # SUPPRESS defaults keep the later parse from clobbering earlier values.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--threads",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="worker budget; searches currently run sequentially and outputs are "
-        "identical for any value (default: CAUSELAB_THREADS or 1)",
-    )
-    common.add_argument(
         "--seed", type=int, default=argparse.SUPPRESS, help="recorded in every report"
     )
     common.add_argument("--format", choices=("json", "csv", "text"), default=argparse.SUPPRESS)
@@ -497,14 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "threads"):
-        args.threads = int(os.environ.get("CAUSELAB_THREADS", "1"))
     for name, default in _GLOBAL_DEFAULTS.items():
         if not hasattr(args, name):
             setattr(args, name, default)
-    if args.threads < 1:
-        print(json.dumps({"error": "bad-input", "message": "--threads must be >= 1"}), file=sys.stderr)
-        return 2
     if args.format == "csv" and args.command != "bound":
         print(
             json.dumps({"error": "bad-input", "message": "csv output is limited to bound tables"}),

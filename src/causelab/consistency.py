@@ -30,10 +30,14 @@ from functools import lru_cache
 from math import prod
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .errors import InvalidMixture, SearchSpaceTooLarge
 from .scenario import QuasiProcess, Scenario, flatten, iter_tuples
 
 CANDIDATE_CAP = 2**32
+# Gathered (candidate, choice, input) cells held at once by the survey.
+SURVEY_BATCH_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -97,13 +101,26 @@ def enumerate_output_choices(
         yield OutputChoice(tuple(maps))
 
 
-def _choice_input_to_output_tables(scenario: Scenario, cap: int) -> list[tuple[int, ...]]:
-    """Per output choice, the table i_flat -> flat(f(i)); choices in lex order."""
-    input_tuples = list(scenario.input_tuples())
-    tables = []
-    for choice in enumerate_output_choices(scenario, cap):
-        tables.append(tuple(flatten(choice.apply(i), scenario.outputs) for i in input_tuples))
-    return tables
+def _choice_input_to_output_tables(scenario: Scenario, cap: int) -> np.ndarray:
+    """Joint output flat(f(i)) at row c, column i_flat; choices c in lex order.
+
+    This one table answers "where does output choice f send joint input i" for
+    the survey, the vertex test and the canonical-PC LP.
+    """
+    count = output_choice_count(scenario)
+    if count > cap:
+        raise SearchSpaceTooLarge(f"{count} output choices exceed the cap {cap}")
+    n = scenario.n_parties
+    table = np.zeros((1,) * (2 * n), dtype=np.int64)
+    stride = 1
+    for k in reversed(range(n)):
+        d_o, d_i = scenario.outputs[k], scenario.inputs[k]
+        maps = np.array(list(itertools.product(range(d_o), repeat=d_i)), dtype=np.int64)
+        shape = [1] * (2 * n)
+        shape[k], shape[n + k] = maps.shape
+        table = table + maps.reshape(shape) * stride
+        stride *= d_o
+    return table.reshape(count, scenario.n_inputs)
 
 
 @dataclass(frozen=True)
@@ -121,20 +138,16 @@ def is_logically_consistent(qp: QuasiProcess, cap: int = CANDIDATE_CAP) -> Consi
     (mass 0) is preferred over an over-counting one.
     """
     sc = qp.scenario
-    n_outputs = sc.n_outputs
-    worst: tuple[Fraction, OutputChoice] | None = None
-    input_flats = list(range(sc.n_inputs))
-    input_tuples = list(sc.input_tuples())
-    for choice in enumerate_output_choices(sc, cap):
-        mass = Fraction(0)
-        for i_flat in input_flats:
-            o_flat = flatten(choice.apply(input_tuples[i_flat]), sc.outputs)
-            mass += qp.table[i_flat * n_outputs + o_flat]
+    cells = _choice_input_to_output_tables(sc, cap) + np.arange(sc.n_inputs) * sc.n_outputs
+    worst: tuple[Fraction, int] | None = None
+    for c, row in enumerate(cells.tolist()):
+        mass = sum((qp.table[cell] for cell in row), Fraction(0))
         if mass != 1 and (worst is None or mass < worst[0]):
-            worst = (mass, choice)
+            worst = (mass, c)
     if worst is None:
         return ConsistencyVerdict(True)
-    return ConsistencyVerdict(False, worst[1], worst[0])
+    violation = next(itertools.islice(enumerate_output_choices(sc, cap), worst[1], None))
+    return ConsistencyVerdict(False, violation, worst[0])
 
 
 def fixed_points(
@@ -215,37 +228,30 @@ def _survey_process_functions(
 
     Returns ``((maps, fp_table), ...)`` where ``fp_table[c]`` is the flattened
     unique fixed point at the c-th output choice (enumeration order).
+    Candidates are scanned in lex order, in batches whose fixed points at every
+    choice come from one gather through the output-choice table.
     """
     axes, total = _candidate_axes(scenario, reduced)
     if total > cap:
         raise SearchSpaceTooLarge(f"{total} candidates exceed the cap {cap}")
     choice_io = _choice_input_to_output_tables(scenario, cap)
-    n_inputs = scenario.n_inputs
-    input_cards = scenario.inputs
-    n_parties = scenario.n_parties
+    in_strides = [prod(scenario.inputs[k + 1 :]) for k in range(scenario.n_parties)]
+    # Candidate t's component k is axis k's entry at digit t // place[k] % len(axis).
+    place = [prod(len(axis) for axis in axes[k + 1 :]) for k in range(len(axes))]
+    components = [np.array(axis, dtype=np.int64) * in_strides[k] for k, axis in enumerate(axes)]
+    batch = max(1, SURVEY_BATCH_ELEMENTS // choice_io.size)
+    identity = np.arange(scenario.n_inputs)
 
     survivors = []
-    for maps in itertools.product(*axes):
-        fp_table = []
-        ok = True
-        for io in choice_io:
-            hit = -1
-            for i_flat in range(n_inputs):
-                o_flat = io[i_flat]
-                value = 0
-                for k in range(n_parties):
-                    value = value * input_cards[k] + maps[k][o_flat]
-                if value == i_flat:
-                    if hit >= 0:
-                        ok = False
-                        break
-                    hit = i_flat
-            if not ok or hit < 0:
-                ok = False
-                break
-            fp_table.append(hit)
-        if ok:
-            survivors.append((maps, tuple(fp_table)))
+    for start in range(0, total, batch):
+        t = np.arange(start, min(start + batch, total), dtype=np.int64)
+        omega = sum(comp[t // place[k] % len(comp)] for k, comp in enumerate(components))
+        hits = omega[:, choice_io] == identity
+        unique = (hits.sum(axis=2) == 1).all(axis=1)
+        for pos in np.flatnonzero(unique).tolist():
+            index = int(t[pos])
+            maps = tuple(axis[index // place[k] % len(axis)] for k, axis in enumerate(axes))
+            survivors.append((maps, tuple(hits[pos].argmax(axis=1).tolist())))
     return tuple(survivors)
 
 

@@ -26,6 +26,7 @@ exact as well.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,8 +39,8 @@ import numpy as np
 from .consistency import (
     CANDIDATE_CAP,
     QuasiProcessFunction,
+    _choice_input_to_output_tables,
     _survey_cached,
-    enumerate_output_choices,
     is_logically_consistent,
 )
 from .errors import CapExceeded, InvalidTable, ScenarioMismatch, SearchSpaceTooLarge
@@ -280,7 +281,8 @@ def causal_bound(game: Game, state_cap: int = 500_000) -> CausalBoundResult:
     n = sc.n_parties
     n_a = sc.n_settings
     unset = -1
-    memo: dict[tuple, Fraction] = {}
+    # state -> (value, acting party, outcome chosen for each of its settings)
+    memo: dict[tuple, tuple[Fraction, int, tuple[int, ...]]] = {}
 
     def completions_weight_payoff(partial_a: tuple[int, ...], partial_x: tuple[int, ...]) -> Fraction:
         a_flat = flatten(partial_a, sc.settings)
@@ -293,32 +295,10 @@ def causal_bound(game: Game, state_cap: int = 500_000) -> CausalBoundResult:
         key = (mask, partial_a, partial_x)
         cached = memo.get(key)
         if cached is not None:
-            return cached
+            return cached[0]
         if len(memo) > state_cap:
             raise SearchSpaceTooLarge(f"causal recursion exceeds {state_cap} states")
-        value: Fraction | None = None
-        for k in range(n):
-            if not mask & (1 << k):
-                continue
-            total = ZERO
-            for a_k in range(sc.settings[k]):
-                next_a = partial_a[:k] + (a_k,) + partial_a[k + 1 :]
-                branch: Fraction | None = None
-                for x_k in range(sc.outcomes[k]):
-                    next_x = partial_x[:k] + (x_k,) + partial_x[k + 1 :]
-                    candidate = best(mask & ~(1 << k), next_a, next_x)
-                    if branch is None or candidate > branch:
-                        branch = candidate
-                total += branch
-            if value is None or total > value:
-                value = total
-        memo[key] = value
-        return value
-
-    def rebuild(mask: int, partial_a: tuple[int, ...], partial_x: tuple[int, ...]) -> dict | None:
-        if mask == 0:
-            return None
-        target = best(mask, partial_a, partial_x)
+        winner: tuple[Fraction, int, tuple[int, ...]] | None = None
         for k in range(n):
             if not mask & (1 << k):
                 continue
@@ -326,29 +306,30 @@ def causal_bound(game: Game, state_cap: int = 500_000) -> CausalBoundResult:
             chosen = []
             for a_k in range(sc.settings[k]):
                 next_a = partial_a[:k] + (a_k,) + partial_a[k + 1 :]
-                branch: Fraction | None = None
-                branch_x = 0
-                for x_k in range(sc.outcomes[k]):
-                    next_x = partial_x[:k] + (x_k,) + partial_x[k + 1 :]
-                    candidate = best(mask & ~(1 << k), next_a, next_x)
-                    if branch is None or candidate > branch:
-                        branch, branch_x = candidate, x_k
-                total += branch
-                chosen.append((a_k, branch_x))
-            if total == target:
-                branches = []
-                for a_k, x_k in chosen:
-                    next_a = partial_a[:k] + (a_k,) + partial_a[k + 1 :]
-                    next_x = partial_x[:k] + (x_k,) + partial_x[k + 1 :]
-                    branches.append(
-                        {
-                            "setting": a_k,
-                            "outcome": x_k,
-                            "then": rebuild(mask & ~(1 << k), next_a, next_x),
-                        }
-                    )
-                return {"party": k, "branches": branches}
-        raise AssertionError("causal strategy reconstruction lost the optimum")
+                values = [
+                    best(mask & ~(1 << k), next_a, partial_x[:k] + (x_k,) + partial_x[k + 1 :])
+                    for x_k in range(sc.outcomes[k])
+                ]
+                x_k = values.index(max(values))  # the first best outcome
+                total += values[x_k]
+                chosen.append(x_k)
+            if winner is None or total > winner[0]:
+                winner = (total, k, tuple(chosen))
+        memo[key] = winner
+        return winner[0]
+
+    def strategy(mask: int, partial_a: tuple[int, ...], partial_x: tuple[int, ...]) -> dict | None:
+        if mask == 0:
+            return None
+        _, k, chosen = memo[(mask, partial_a, partial_x)]
+        branches = []
+        for a_k, x_k in enumerate(chosen):
+            next_a = partial_a[:k] + (a_k,) + partial_a[k + 1 :]
+            next_x = partial_x[:k] + (x_k,) + partial_x[k + 1 :]
+            branches.append(
+                {"setting": a_k, "outcome": x_k, "then": strategy(mask & ~(1 << k), next_a, next_x)}
+            )
+        return {"party": k, "branches": branches}
 
     start_a = (unset,) * n
     start_x = (unset,) * n
@@ -356,8 +337,7 @@ def causal_bound(game: Game, state_cap: int = 500_000) -> CausalBoundResult:
     # flatten() rejects the unset marker, so leaves only see full assignments.
     full_mask = (1 << n) - 1
     value = best(full_mask, start_a, start_x)
-    strategy = rebuild(full_mask, start_a, start_x)
-    return CausalBoundResult(value, strategy)
+    return CausalBoundResult(value, strategy(full_mask, start_a, start_x))
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +480,43 @@ class _DcSearch:
         return J[order], order, (reps, axes_cards, axis_offset)
 
 
+def _slice_scores(
+    search: _DcSearch,
+    icomp: list[np.ndarray],
+    G: np.ndarray,
+    last: int,
+    others: list[int],
+    a_last: int,
+):
+    """Per slice s of the distinguished party at setting a_last, the scores (rows, *grid).
+
+    ``icomp[k]`` holds party k's input component of every row at each a_flat;
+    the grid runs over the other parties' full outcome maps.
+    """
+    sc = search.sc
+    nr = icomp[0].shape[0]
+    grid_shape = tuple(search.H[k] for k in others)
+    relevant = [a_flat for a_flat, a in enumerate(search.setting_tuples) if a[last] == a_last]
+    for s in range(search.S[last]):
+        acc = np.zeros((nr,) + grid_shape, dtype=np.int64)
+        for a_flat in relevant:
+            a = search.setting_tuples[a_flat]
+            xflat = (
+                search.smaps[last][s, icomp[last][:, a_flat]] * search.x_strides[last]
+            ).reshape((nr,) + (1,) * len(others))
+            for pos, k in enumerate(others):
+                cell = a[k] * sc.inputs[k] + icomp[k][:, a_flat]
+                xk = search.hmaps[k][:, cell].T * search.x_strides[k]
+                shape = (nr,) + (1,) * pos + (search.H[k],) + (1,) * (len(others) - pos - 1)
+                xflat = xflat + xk.reshape(shape)
+            acc += G[a_flat][xflat]
+        yield acc
+
+
+def _input_components(search: _DcSearch, rows: np.ndarray) -> list[np.ndarray]:
+    return [(rows // search.in_strides[k]) % search.sc.inputs[k] for k in range(search.n)]
+
+
 def _hopt_values(
     search: _DcSearch, rows: np.ndarray, G: np.ndarray, last: int, others: list[int]
 ) -> np.ndarray:
@@ -509,101 +526,47 @@ def _hopt_values(
     one distinguished party, so the scan is exhaustive over the remaining
     parties' full maps and exact.
     """
-    sc = search.sc
     n_rows = rows.shape[0]
-    grid_shape = tuple(search.H[k] for k in others)
-    grid_size = prod(grid_shape)
-    icomp = [(rows // search.in_strides[k]) % sc.inputs[k] for k in range(search.n)]
-
-    relevant = [
-        [a_flat for a_flat, a in enumerate(search.setting_tuples) if a[last] == a_last]
-        for a_last in range(sc.settings[last])
-    ]
-
+    grid_size = prod(search.H[k] for k in others)
+    icomp = _input_components(search, rows)
     chunk = max(1, (1 << 21) // max(1, grid_size))
     values = np.empty(n_rows, dtype=np.int64)
     for start in range(0, n_rows, chunk):
-        end = min(start + chunk, n_rows)
-        nr = end - start
-        total = np.zeros((nr,) + grid_shape, dtype=np.int64)
-        for a_last in range(sc.settings[last]):
-            best: np.ndarray | None = None
-            for s in range(search.S[last]):
-                acc = np.zeros((nr,) + grid_shape, dtype=np.int64)
-                for a_flat in relevant[a_last]:
-                    a = search.setting_tuples[a_flat]
-                    xflat = (
-                        search.smaps[last][s, icomp[last][start:end, a_flat]]
-                        * search.x_strides[last]
-                    ).reshape((nr,) + (1,) * len(others))
-                    for pos, k in enumerate(others):
-                        cell = a[k] * sc.inputs[k] + icomp[k][start:end, a_flat]
-                        xk = search.hmaps[k][:, cell].T * search.x_strides[k]
-                        shape = (nr,) + (1,) * pos + (search.H[k],) + (1,) * (len(others) - pos - 1)
-                        xflat = xflat + xk.reshape(shape)
-                    acc += G[a_flat][xflat]
-                best = acc if best is None else np.maximum(best, acc)
-            total += best
-        values[start:end] = total.reshape(nr, -1).max(axis=1)
+        part = [c[start : start + chunk] for c in icomp]
+        total = sum(
+            functools.reduce(np.maximum, _slice_scores(search, part, G, last, others, a_last))
+            for a_last in range(search.sc.settings[last])
+        )
+        values[start : start + chunk] = total.reshape(len(part[0]), -1).max(axis=1)
     return values
 
 
 def _hopt_detail(
     search: _DcSearch, row: np.ndarray, G: np.ndarray, last: int, others: list[int]
 ) -> tuple[int, dict[int, int], list[int]]:
-    """Recompute the optimum for one row, returning the winning outcome maps."""
-    sc = search.sc
-    grid_shape = tuple(search.H[k] for k in others)
-    single = row.reshape(1, -1)
-    icomp = [(single // search.in_strides[k]) % sc.inputs[k] for k in range(search.n)]
+    """The optimum for one row with its first-maximizing outcome maps.
 
-    # Reproduce the per-grid totals, then pick the first-maximizing grid point.
-    total = np.zeros((1,) + grid_shape, dtype=np.int64)
-    per_setting_best: list[np.ndarray] = []
-    for a_last in range(sc.settings[last]):
-        best = None
-        for s in range(search.S[last]):
-            acc = np.zeros((1,) + grid_shape, dtype=np.int64)
-            for a_flat, a in enumerate(search.setting_tuples):
-                if a[last] != a_last:
-                    continue
-                xflat = (
-                    search.smaps[last][s, icomp[last][0, a_flat]] * search.x_strides[last]
-                ) * np.ones((1,) + (1,) * len(others), dtype=np.int64)
-                for pos, k in enumerate(others):
-                    cell = a[k] * sc.inputs[k] + icomp[k][0, a_flat]
-                    xk = search.hmaps[k][:, cell] * search.x_strides[k]
-                    shape = (1,) + (1,) * pos + (search.H[k],) + (1,) * (len(others) - pos - 1)
-                    xflat = xflat + xk.reshape(shape)
-                acc += G[a_flat][xflat]
-            best = acc if best is None else np.maximum(best, acc)
-        per_setting_best.append(best)
-        total += best
+    Returns the value, the other parties' outcome-map indices at the first
+    maximizing grid point, and the distinguished party's first maximizing
+    slice per setting there.
+    """
+    icomp = _input_components(search, row.reshape(1, -1))
+    total = 0
+    first_slices = []
+    for a_last in range(search.sc.settings[last]):
+        best = first = None
+        for s, acc in enumerate(_slice_scores(search, icomp, G, last, others, a_last)):
+            if best is None:
+                best, first = acc, np.zeros_like(acc)
+            else:
+                first[acc > best] = s
+                best = np.maximum(best, acc)
+        total = total + best
+        first_slices.append(first.reshape(-1))
     flat = int(np.argmax(total))
-    value = int(total.reshape(-1)[flat])
-    grid_idx = np.unravel_index(flat, grid_shape) if grid_shape else ()
+    grid_idx = np.unravel_index(flat, tuple(search.H[k] for k in others)) if others else ()
     other_maps = {k: int(grid_idx[pos]) for pos, k in enumerate(others)}
-
-    # First-maximizing slice per setting of the distinguished party.
-    last_slices: list[int] = []
-    for a_last in range(sc.settings[last]):
-        target = int(per_setting_best[a_last].reshape(-1)[flat])
-        for s in range(search.S[last]):
-            acc = 0
-            for a_flat, a in enumerate(search.setting_tuples):
-                if a[last] != a_last:
-                    continue
-                xflat = int(search.smaps[last][s, icomp[last][0, a_flat]]) * search.x_strides[last]
-                for pos, k in enumerate(others):
-                    cell = a[k] * sc.inputs[k] + int(icomp[k][0, a_flat])
-                    xflat += int(search.hmaps[k][other_maps[k], cell]) * search.x_strides[k]
-                acc += int(G[a_flat, xflat])
-            if acc == target:
-                last_slices.append(s)
-                break
-        else:  # pragma: no cover - the maximum was just computed
-            raise AssertionError("lost the per-setting optimum during reconstruction")
-    return value, other_maps, last_slices
+    return int(total.reshape(-1)[flat]), other_maps, [int(f[flat]) for f in first_slices]
 
 
 def _decode_intervention(
@@ -673,11 +636,11 @@ def dc_bound(
         raise SearchSpaceTooLarge("outcome-map grid exceeds its cap")
 
     best_value: int | None = None
-    best_site: tuple[int, int] | None = None  # (function index, ordered-row position)
+    best_site = None  # (maps, fixed-point row, its first grid index, class info)
     memo: dict[bytes, int] = {}
 
-    for w_idx, (_, fp) in enumerate(search.survey):
-        rows, _, _ = search.function_rows(fp, grid_cap)
+    for maps, fp in search.survey:
+        rows, g_first, class_info = search.function_rows(fp, grid_cap)
         keys = [rows[r].tobytes() for r in range(rows.shape[0])]
         fresh = [r for r, key in enumerate(keys) if key not in memo]
         if fresh:
@@ -688,17 +651,15 @@ def dc_bound(
             value = memo[key]
             if best_value is None or value > best_value:
                 best_value = value
-                best_site = (w_idx, r)
+                best_site = (maps, rows[r], int(g_first[r]), class_info)
 
     assert best_value is not None and best_site is not None
-    w_idx, r = best_site
-    maps, fp = search.survey[w_idx]
-    rows, g_first, class_info = search.function_rows(fp, grid_cap)
-    detail_value, other_maps, last_slices = _hopt_detail(search, rows[r], G, last, others)
+    maps, row, grid_flat, class_info = best_site
+    detail_value, other_maps, last_slices = _hopt_detail(search, row, G, last, others)
     if detail_value != best_value:  # pragma: no cover - batch and detail share the formulas
         raise AssertionError("witness reconstruction disagrees with the search optimum")
     intervention = _decode_intervention(
-        search, int(g_first[r]), class_info, other_maps, last, last_slices
+        search, grid_flat, class_info, other_maps, last, last_slices
     )
     witness = QuasiProcessFunction(sc, maps)
     return DcBoundResult(
@@ -742,12 +703,10 @@ def pc_bound_canonical(game: Game, choice_cap: int = CANDIDATE_CAP) -> PcBoundRe
                 game.setting_dist[o_flat] * game.payoff[i_flat * n_o + o_flat]
             )
     eq_rows = []
-    input_tuples = list(sc.input_tuples())
-    for choice in enumerate_output_choices(sc, choice_cap):
+    for row in _choice_input_to_output_tables(sc, choice_cap) + np.arange(n_i) * n_o:
         coeffs = [ZERO] * n_vars
-        for i_flat, i in enumerate(input_tuples):
-            o_flat = flatten(choice.apply(i), sc.outputs)
-            coeffs[i_flat * n_o + o_flat] = ONE
+        for cell in row.tolist():
+            coeffs[cell] = ONE
         eq_rows.append((tuple(coeffs), ONE))
     solution = lp_solve(
         LinearProgram(objective=tuple(objective), maximize=True, eq=tuple(eq_rows))
@@ -903,7 +862,6 @@ def classify(
                 )
                 break
 
-    dc: SetVerdict
     try:
         vertices = _deterministic_correlation_vertices(
             corr.scenario, reduced, candidate_cap, vertex_cap, work_cap
@@ -912,41 +870,21 @@ def classify(
             HullQuery(corr.table, vertices), cap=vertex_cap
         )
         if result.inside:
-            dc = SetVerdict(
-                "in",
-                {"vertices": vertices, "weights": result.weights},
+            return ClassLabel(
+                qc=qc, pc=pc, dc=SetVerdict("in", {"vertices": vertices, "weights": result.weights})
             )
-        else:
-            certificate: dict = {
-                "separating_functional": result.functional,
-                "separation": result.separation,
-            }
-            for witness in witnesses:
-                bound = dc_bound(
-                    witness, reduced=reduced, candidate_cap=candidate_cap
-                )
-                value = score(witness, corr)
-                if value > bound.value:
-                    certificate["witness"] = witness.name
-                    certificate["score"] = value
-                    certificate["dc_bound"] = bound.value
-                    break
-            dc = SetVerdict("out", certificate)
+        status = "out"
+        certificate: dict = {
+            "separating_functional": result.functional,
+            "separation": result.separation,
+        }
     except CapExceeded as exc:
-        dc = SetVerdict("unknown", {"downgraded": str(exc)})
-        for witness in witnesses:
-            bound = dc_bound(witness, reduced=reduced, candidate_cap=candidate_cap)
-            value = score(witness, corr)
-            if value > bound.value:
-                dc = SetVerdict(
-                    "out",
-                    {
-                        "downgraded": str(exc),
-                        "witness": witness.name,
-                        "score": value,
-                        "dc_bound": bound.value,
-                    },
-                )
-                break
-
-    return ClassLabel(qc=qc, pc=pc, dc=dc)
+        status, certificate = "unknown", {"downgraded": str(exc)}
+    for witness in witnesses:
+        bound = dc_bound(witness, reduced=reduced, candidate_cap=candidate_cap)
+        value = score(witness, corr)
+        if value > bound.value:
+            status = "out"
+            certificate.update(witness=witness.name, score=value, dc_bound=bound.value)
+            break
+    return ClassLabel(qc=qc, pc=pc, dc=SetVerdict(status, certificate))

@@ -82,6 +82,8 @@ class Scenario:
             cards = getattr(self, name)
             if len(cards) != n:
                 raise InvalidScenario(f"{name} has {len(cards)} entries for {n} parties")
+            if any(isinstance(card, bool) or not isinstance(card, int) for card in cards):
+                raise InvalidScenario(f"{name} contains a non-integer cardinality: {cards}")
             if any(card < 1 for card in cards):
                 raise InvalidScenario(f"{name} contains a non-positive cardinality: {cards}")
 

@@ -50,13 +50,18 @@ def scenario_to_json(scenario: Scenario) -> dict:
     }
 
 
+def _require_object(data, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise InvalidTable(f"{what}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
 def scenario_from_json(data: dict) -> Scenario:
-    scenario = Scenario(
-        settings=tuple(data["settings"]),
-        outcomes=tuple(data["outcomes"]),
-        inputs=tuple(data["inputs"]),
-        outputs=tuple(data["outputs"]),
-    )
+    _require_object(data, "scenario")
+    cards = {name: data[name] for name in ("settings", "outcomes", "inputs", "outputs")}
+    if not all(isinstance(value, list) for value in cards.values()):
+        raise InvalidTable("scenario: alphabet sizes must be JSON arrays")
+    scenario = Scenario(**{name: tuple(value) for name, value in cards.items()})
     if "parties" in data and data["parties"] != scenario.n_parties:
         raise InvalidTable("party count disagrees with the alphabet lists")
     return scenario
@@ -69,6 +74,8 @@ def _table_to_rows(table: Sequence[Fraction], n_rows: int, n_cols: int) -> list[
 
 
 def _table_from_rows(rows, n_rows: int, n_cols: int, what: str) -> tuple[Fraction, ...]:
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise InvalidTable(f"{what}: expected a list of lists")
     if len(rows) != n_rows or any(len(row) != n_cols for row in rows):
         raise InvalidTable(f"{what}: expected a {n_rows}x{n_cols} array")
     return tuple(rational_from_json(v) for row in rows for v in row)
@@ -241,8 +248,9 @@ def numeric_correlation_to_json(corr: NumericCorrelation) -> dict:
 
 
 def load_json(path: str) -> dict:
+    """Parse a document; every causelab document is a JSON object."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return _require_object(json.load(fh), path)
 
 
 def dump_json(path: str, payload: dict) -> None:

@@ -83,6 +83,28 @@ class TestCheckConsistency:
         assert report(proc)["result"]["consistent"] is True
 
 
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "document",
+        [
+            [[1, 0]],
+            {"scenario": {"settings": [2], "outcomes": [2], "inputs": [2], "outputs": [2]}, "p": 5},
+            {"scenario": [2, 2], "p": []},
+            {"scenario": {"settings": 2, "outcomes": [2], "inputs": [2], "outputs": [2]}, "p": []},
+            {"scenario": {"settings": [2.5], "outcomes": [2], "inputs": [2], "outputs": [2]}, "p": []},
+        ],
+        ids=["bare-list", "scalar-table", "list-scenario", "scalar-alphabet", "fractional-alphabet"],
+    )
+    def test_malformed_document_exits_two(self, tmp_path, document):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        proc = run_cli("check-consistency", str(path))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        error = json.loads(proc.stderr.splitlines()[0])
+        assert error["error"] in ("InvalidTable", "InvalidScenario")
+
+
 class TestEnumPf:
     def test_two_party_reduced(self):
         proc = run_cli("enum-pf", "--parties", "2", "--alphabet", "2", "--reduced")
@@ -155,15 +177,10 @@ class TestHierarchyDemo:
 
 
 class TestGlobalOptions:
-    def test_threads_env_default(self):
-        proc = run_cli(
-            "bound", "--game", "gyni", "--set", "causal", env={"CAUSELAB_THREADS": "4"}
-        )
-        assert report(proc)["config"]["threads"] == 4
-
-    def test_bad_threads(self):
-        proc = run_cli("--threads", "0", "bound", "--game", "gyni", "--set", "causal")
+    def test_threads_option_rejected(self):
+        proc = run_cli("--threads", "4", "bound", "--game", "gyni", "--set", "causal")
         assert proc.returncode == 2
+        assert proc.stdout == ""
 
     def test_csv_restricted_to_bound(self, grandfather_file):
         proc = run_cli("check-consistency", grandfather_file, "--format", "csv")

@@ -18,8 +18,10 @@ from causelab import (
     mixture_process,
     quasiprocess_from_function,
 )
+from causelab.consistency import CANDIDATE_CAP, _survey_process_functions
 from causelab.errors import InvalidMixture, SearchSpaceTooLarge
 from causelab.games import bfw_process
+from causelab.scenario import flatten
 
 from conftest import identity_loop
 
@@ -116,6 +118,36 @@ class TestIsProcessFunction:
         assert verdict.fixed_point_count == 0
 
 
+def brute_force_survey(scenario, reduced):
+    """Test-local survey oracle: every candidate in lex order, kept when
+    :func:`fixed_points` finds exactly one fixed point at every output choice."""
+    outputs = list(scenario.output_tuples())
+    axes = []
+    for k, d_i in enumerate(scenario.inputs):
+        if not reduced:
+            axes.append(list(itertools.product(range(d_i), repeat=len(outputs))))
+            continue
+        others = sorted({o[:k] + o[k + 1 :] for o in outputs})
+        component = []
+        for values in itertools.product(range(d_i), repeat=len(others)):
+            lookup = dict(zip(others, values))
+            component.append(tuple(lookup[o[:k] + o[k + 1 :]] for o in outputs))
+        axes.append(component)
+    choices = list(enumerate_output_choices(scenario))
+    survivors = []
+    for maps in itertools.product(*axes):
+        omega = QuasiProcessFunction(scenario, maps)
+        table = []
+        for choice in choices:
+            hits = fixed_points(omega, choice)
+            if len(hits) != 1:
+                break
+            table.append(flatten(hits[0], scenario.inputs))
+        else:
+            survivors.append((maps, tuple(table)))
+    return tuple(survivors)
+
+
 class TestEnumeration:
     def test_single_party_unreduced_yields_the_constants(self, single_scenario):
         functions = list(enumerate_process_functions(single_scenario, reduced=False))
@@ -142,6 +174,16 @@ class TestEnumeration:
             reduced = {fn.maps for fn in enumerate_process_functions(sc, reduced=True)}
             unreduced = {fn.maps for fn in enumerate_process_functions(sc, reduced=False)}
             assert reduced == unreduced
+
+    @pytest.mark.parametrize(
+        "parties, alphabet, reduced, count",
+        [(3, 2, True, 744), (2, 2, False, 12), (2, 3, True, 153)],
+    )
+    def test_survey_equals_brute_force(self, parties, alphabet, reduced, count):
+        sc = make_scenario(parties, alphabet, alphabet, alphabet, alphabet)
+        oracle = brute_force_survey(sc, reduced)
+        assert len(oracle) == count
+        assert _survey_process_functions(sc, reduced, CANDIDATE_CAP) == oracle
 
     def test_three_party_count_regression(self, gynin_scenario):
         assert len(list(enumerate_process_functions(gynin_scenario))) == 744

@@ -371,3 +371,54 @@ class TestClassify:
     def test_witness_scenario_mismatch(self):
         with pytest.raises(ScenarioMismatch):
             classify(gynin_perfect_correlation(), (builtin_gyni(),))
+
+
+def strategy_code(tree):
+    """A causal strategy tree as nested (party, ((setting, outcome, subtree), ...)) tuples."""
+    if tree is None:
+        return None
+    return (
+        tree["party"],
+        tuple((b["setting"], b["outcome"], strategy_code(b["then"])) for b in tree["branches"]),
+    )
+
+
+class TestGoldenWitnesses:
+    """Exact witnesses of the built-in games, pinning every first-in-order tie-break."""
+
+    GYNIN_STRATEGY = (0, (
+        (0, 0, (1, ((0, 0, (2, ((0, 0, None), (1, 0, None)))),
+                    (1, 0, (2, ((0, 1, None), (1, 0, None))))))),
+        (1, 0, (1, ((0, 0, (2, ((0, 0, None), (1, 1, None)))),
+                    (1, 0, (2, ((0, 0, None), (1, 0, None))))))),
+    ))
+    GYNI_STRATEGY = (0, (
+        (0, 0, (1, ((0, 0, None), (1, 0, None)))),
+        (1, 0, (1, ((0, 1, None), (1, 0, None)))),
+    ))
+
+    def test_causal_strategies(self):
+        assert strategy_code(causal_bound(builtin_gynin()).strategy) == self.GYNIN_STRATEGY
+        assert strategy_code(causal_bound(builtin_gyni()).strategy) == self.GYNI_STRATEGY
+
+    def test_gynin_dc_witness(self):
+        result = dc_bound(builtin_gynin())
+        assert result.functions_searched == 744
+        assert result.witness_function.maps == (
+            (0, 0, 0, 1, 0, 0, 0, 1),
+            (0, 0, 0, 0, 1, 0, 1, 0),
+            (0, 0, 1, 1, 1, 1, 1, 1),
+        )
+        assert result.witness_intervention.output_maps == (
+            ((0, 0), (1, 0)), ((0, 0), (1, 0)), ((0, 0), (0, 1)),
+        )
+        assert result.witness_intervention.outcome_maps == (
+            ((0, 0), (1, 0)), ((1, 0), (0, 0)), ((0, 1), (1, 0)),
+        )
+
+    def test_gyni_dc_witness(self):
+        result = dc_bound(builtin_gyni())
+        assert result.functions_searched == 12
+        assert result.witness_function.maps == ((0, 0, 0, 0), (0, 0, 0, 0))
+        assert result.witness_intervention.output_maps == (((0, 0), (0, 0)), ((0, 0), (0, 0)))
+        assert result.witness_intervention.outcome_maps == (((0, 0), (1, 0)), ((0, 0), (1, 0)))

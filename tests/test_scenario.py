@@ -9,6 +9,7 @@ from causelab import (
     InterventionFamily,
     QuasiProcess,
     QuasiProcessFunction,
+    Scenario,
     canonical_interventions,
     evaluate_correlation,
     make_scenario,
@@ -49,6 +50,11 @@ class TestMakeScenario:
             make_scenario(2, bad, 2, 2, 2)
         with pytest.raises(InvalidScenario):
             make_scenario(0, 2, 2, 2, 2)
+
+    @pytest.mark.parametrize("bad", [2.5, True, "2"])
+    def test_non_integer_cardinality_rejected(self, bad):
+        with pytest.raises(InvalidScenario):
+            Scenario(settings=(2, bad), outcomes=(2, 2), inputs=(2, 2), outputs=(2, 2))
 
     def test_per_party_cards(self):
         sc = make_scenario(2, (2, 4), 2, 2, (2, 4))
