@@ -1,10 +1,15 @@
 """
 Exact rational linear programming and convex-hull membership.
 
-The solver is a dense two-phase simplex over :class:`fractions.Fraction` with
-Bland's anti-cycling pivot rule, so every result is an exact rational and
-repeated runs are bit-identical.  Problem sizes in this package are at most a
-few thousand variables, which a dense tableau handles comfortably; there is
+The solver is a dense two-phase simplex with Bland's anti-cycling pivot rule,
+so every result is an exact rational and repeated runs are bit-identical.  The
+tableau holds Python ints: each row is the exact row times a positive factor,
+divided by the gcd of its entries after every update, and its entry in its
+basic column is its denominator.  Row scaling changes neither the sign tests
+nor the ratios rhs/coeff that Bland's rule reads, so the pivots are those of a
+rational tableau; only the returned optimum and vertex are
+:class:`fractions.Fraction`.  Problem sizes in this package are at most a few
+thousand variables, which a dense tableau handles comfortably; there is
 deliberately no floating-point path.
 
 All variables are constrained non-negative.  Free quantities (as in the
@@ -17,6 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import CapExceeded, InvalidTable
@@ -88,42 +94,44 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _pivot(rows: list[list[Fraction]], obj: list[Fraction], pr: int, pc: int) -> None:
+def _eliminate(row: list[int], pivot_row: list[int], pc: int) -> list[int]:
+    """``row`` with column ``pc`` cleared by ``pivot_row``, as a primitive int vector.
+
+    ``pivot_row[pc]`` is positive, so the result is a positive multiple of the
+    exact ``row - row[pc] / pivot_row[pc] * pivot_row``.
+    """
+    p, f = pivot_row[pc], row[pc]
+    new = [p * v - f * w for v, w in zip(row, pivot_row)]
+    g = gcd(*new)
+    return [v // g for v in new] if g > 1 else new
+
+
+def _pivot(rows: list[list[int]], obj: list[int], pr: int, pc: int) -> None:
+    # Only driving an artificial out of the basis can pivot on a negative
+    # entry; negating the row keeps its basic entry a positive denominator.
+    if rows[pr][pc] < 0:
+        rows[pr] = [-v for v in rows[pr]]
     pivot_row = rows[pr]
-    inv = ONE / pivot_row[pc]
-    if inv != 1:
-        rows[pr] = pivot_row = [v * inv for v in pivot_row]
     for i, row in enumerate(rows):
-        if i == pr:
-            continue
-        factor = row[pc]
-        if factor != 0:
-            rows[i] = [v - factor * p for v, p in zip(row, pivot_row)]
-    factor = obj[pc]
-    if factor != 0:
-        obj[:] = [v - factor * p for v, p in zip(obj, pivot_row)]
-
-
-def _reduced_costs(
-    rows: list[list[Fraction]], basis: list[int], cost: list[Fraction], ncols: int
-) -> list[Fraction]:
-    obj = list(cost) + [ZERO]
-    for i, b in enumerate(basis):
-        cb = cost[b]
-        if cb != 0:
-            row = rows[i]
-            obj = [v - cb * r for v, r in zip(obj, row)]
-    return obj
+        if i != pr and row[pc] != 0:
+            rows[i] = _eliminate(row, pivot_row, pc)
+    if obj[pc] != 0:
+        obj[:] = _eliminate(obj, pivot_row, pc)
 
 
 def _run_simplex(
-    rows: list[list[Fraction]],
-    basis: list[int],
-    cost: list[Fraction],
-    ncols: int,
+    rows: list[list[int]], basis: list[int], cost: list[int], ncols: int
 ) -> LpStatus:
-    """Minimize cost over the canonical tableau in place; Bland's rule throughout."""
-    obj = _reduced_costs(rows, basis, cost, ncols)
+    """Minimize cost over the canonical tableau in place; Bland's rule throughout.
+
+    The reduced-cost row is kept only up to a positive factor: its signs are
+    all the entering rule reads.  Ratios rhs/coeff do not depend on a row's
+    scale, so the ratio test cross-multiplies the integers.
+    """
+    obj = cost + [0]
+    for row, b in zip(rows, basis):
+        if obj[b] != 0:
+            obj = _eliminate(obj, row, b)
     while True:
         entering = -1
         for j in range(ncols):
@@ -132,18 +140,13 @@ def _run_simplex(
                 break
         if entering < 0:
             return LpStatus.OPTIMAL
-        leaving = -1
-        best_ratio: Fraction | None = None
+        leaving, best_rhs, best_coeff = -1, 0, 1
         for i, row in enumerate(rows):
             coeff = row[entering]
             if coeff > 0:
-                ratio = row[-1] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
+                lhs, rhs = row[-1] * best_coeff, best_rhs * coeff
+                if leaving < 0 or lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                    best_rhs, best_coeff = row[-1], coeff
                     leaving = i
         if leaving < 0:
             return LpStatus.UNBOUNDED
@@ -151,49 +154,45 @@ def _run_simplex(
         basis[leaving] = entering
 
 
+def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over their least common denominator."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 def lp_solve(lp: LinearProgram) -> LpSolution:
     """Exact optimum and an optimal vertex, or an infeasible/unbounded status."""
     n = lp.n_vars
+    n_eq = len(lp.eq)
     n_slack = len(lp.le)
     ncols = n + n_slack
+    # Rows without a ready-made basic column (eq rows, le rows with rhs < 0)
+    # get an artificial column, in row order.
+    n_art = n_eq + sum(1 for _, rhs in lp.le if rhs < 0)
 
-    rows: list[list[Fraction]] = []
-    slack_basic: list[int | None] = []
-    for coeffs, rhs in lp.eq:
-        rows.append(list(coeffs) + [ZERO] * n_slack + [rhs])
-        slack_basic.append(None)
-    for idx, (coeffs, rhs) in enumerate(lp.le):
-        row = list(coeffs) + [ZERO] * n_slack + [rhs]
-        row[n + idx] = ONE
-        rows.append(row)
-        slack_basic.append(n + idx)
-
-    for i, row in enumerate(rows):
-        if row[-1] < 0:
-            rows[i] = [-v for v in row]
-            slack_basic[i] = None  # slack coefficient flipped to -1
-
-    # Phase 1: artificials for rows without a ready-made basic column.
-    art_rows = [i for i, b in enumerate(slack_basic) if b is None]
-    n_art = len(art_rows)
-    total_cols = ncols + n_art
+    rows: list[list[int]] = []
     basis: list[int] = []
-    for i, row in enumerate(rows):
-        row[-1:-1] = [ZERO] * n_art  # insert artificial columns before rhs
-        basis.append(slack_basic[i] if slack_basic[i] is not None else -1)
-    for a_idx, i in enumerate(art_rows):
-        rows[i][ncols + a_idx] = ONE
-        basis[i] = ncols + a_idx
+    next_art = ncols
+    for i, (coeffs, rhs) in enumerate(lp.eq + lp.le):
+        nums, scale = _scaled(coeffs + (rhs,))
+        row = nums[:-1] + [0] * (n_slack + n_art) + nums[-1:]
+        if i >= n_eq:
+            row[n + i - n_eq] = scale
+        if rhs < 0:
+            row = [-v for v in row]  # slack coefficient flipped to -1
+        if i < n_eq or rhs < 0:
+            basis.append(next_art)
+            row[next_art] = scale
+            next_art += 1
+        else:
+            basis.append(n + i - n_eq)
+        rows.append(row)
 
     if n_art:
-        cost1 = [ZERO] * ncols + [ONE] * n_art
-        status = _run_simplex(rows, basis, cost1, total_cols)
+        status = _run_simplex(rows, basis, [0] * ncols + [1] * n_art, ncols + n_art)
         if status is not LpStatus.OPTIMAL:  # pragma: no cover - phase 1 is always bounded
             raise AssertionError("phase-1 simplex cannot be unbounded")
-        infeasibility = sum(
-            rows[i][-1] for i, b in enumerate(basis) if b >= ncols
-        )
-        if infeasibility != 0:
+        if any(row[-1] != 0 for row, b in zip(rows, basis) if b >= ncols):
             return LpSolution(LpStatus.INFEASIBLE)
         # Drive remaining artificials out of the basis or drop redundant rows.
         keep: list[int] = []
@@ -201,31 +200,27 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
             if basis[i] < ncols:
                 keep.append(i)
                 continue
-            pivot_col = next(
-                (j for j in range(ncols) if rows[i][j] != 0),
-                -1,
-            )
+            pivot_col = next((j for j in range(ncols) if rows[i][j] != 0), -1)
             if pivot_col < 0:
                 continue  # redundant constraint
-            dummy = [ZERO] * (total_cols + 1)
-            _pivot(rows, dummy, i, pivot_col)
+            _pivot(rows, [0] * (ncols + n_art + 1), i, pivot_col)
             basis[i] = pivot_col
             keep.append(i)
         rows = [rows[i] for i in keep]
         basis = [basis[i] for i in keep]
+        for row in rows:  # phase 2 runs on the original columns only
+            del row[ncols:-1]
 
-    # Phase 2 on the original columns only.
-    rows = [row[:ncols] + [row[-1]] for row in rows]
-    sign = Fraction(-1) if lp.maximize else Fraction(1)
-    cost2 = [sign * c for c in lp.objective] + [ZERO] * n_slack
-    status = _run_simplex(rows, basis, cost2, ncols)
+    cost, _ = _scaled(lp.objective)
+    sign = -1 if lp.maximize else 1
+    status = _run_simplex(rows, basis, [sign * c for c in cost] + [0] * n_slack, ncols)
     if status is LpStatus.UNBOUNDED:
         return LpSolution(LpStatus.UNBOUNDED)
 
     x = [ZERO] * n
-    for i, b in enumerate(basis):
+    for row, b in zip(rows, basis):
         if b < n:
-            x[b] = rows[i][-1]
+            x[b] = Fraction(row[-1], row[b])  # a row's basic entry is its denominator
     value = sum((c * v for c, v in zip(lp.objective, x)), start=ZERO)
     return LpSolution(LpStatus.OPTIMAL, value, tuple(x))
 

@@ -56,6 +56,12 @@ def _require_object(data, what: str) -> dict:
     return data
 
 
+def _require_list(data, what: str) -> list:
+    if not isinstance(data, list):
+        raise InvalidTable(f"{what}: expected a JSON array, got {type(data).__name__}")
+    return data
+
+
 def scenario_from_json(data: dict) -> Scenario:
     _require_object(data, "scenario")
     cards = {name: data[name] for name in ("settings", "outcomes", "inputs", "outputs")}
@@ -170,7 +176,7 @@ def game_to_json(game: Game) -> dict:
 def game_from_json(data: dict) -> Game:
     sc = scenario_from_json(data["scenario"])
     payoff = _table_from_rows(data["payoff"], sc.n_outcomes, sc.n_settings, "payoff")
-    dist = tuple(rational_from_json(v) for v in data["settings"])
+    dist = tuple(rational_from_json(v) for v in _require_list(data["settings"], "settings"))
     bound = data.get("known_pc_bound")
     return Game(
         sc,
@@ -185,6 +191,17 @@ def _matrix_to_pairs(matrix: np.ndarray) -> list[list[float]]:
     return [[float(v.real), float(v.imag)] for v in matrix.reshape(-1)]
 
 
+def _matrix_from_pairs(pairs, dim: int, what: str) -> np.ndarray:
+    if len(_require_list(pairs, what)) != dim * dim:
+        raise InvalidTable(f"{what} needs {dim * dim} entries, got {len(pairs)}")
+    if not all(
+        isinstance(pair, list) and len(pair) == 2 and all(type(v) in (int, float) for v in pair)
+        for pair in pairs
+    ):
+        raise InvalidTable(f"{what}: entries must be [re, im] number pairs")
+    return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128).reshape(dim, dim)
+
+
 def process_matrix_to_json(pm: ProcessMatrix) -> dict:
     return {"scenario": scenario_to_json(pm.scenario), "w": _matrix_to_pairs(pm.matrix)}
 
@@ -194,11 +211,7 @@ def process_matrix_from_json(data: dict) -> ProcessMatrix:
     dim = 1
     for d_in, d_out in zip(sc.inputs, sc.outputs):
         dim *= d_in * d_out
-    pairs = data["w"]
-    if len(pairs) != dim * dim:
-        raise InvalidTable(f"process matrix needs {dim * dim} entries, got {len(pairs)}")
-    flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    return ProcessMatrix(sc, flat.reshape(dim, dim))
+    return ProcessMatrix(sc, _matrix_from_pairs(data["w"], dim, "process matrix"))
 
 
 def instruments_to_json(instruments: Sequence[InstrumentCJ]) -> dict:
@@ -219,19 +232,20 @@ def instruments_to_json(instruments: Sequence[InstrumentCJ]) -> dict:
 
 def instruments_from_json(data: dict) -> list[InstrumentCJ]:
     out = []
-    for spec in data["parties"]:
-        d_in, d_out = int(spec["d_in"]), int(spec["d_out"])
-        dim = d_in * d_out
-        ops = []
-        for per_setting in spec["operators"]:
-            row = []
-            for pairs in per_setting:
-                if len(pairs) != dim * dim:
-                    raise InvalidTable("instrument operator has the wrong size")
-                flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-                row.append(flat.reshape(dim, dim))
-            ops.append(tuple(row))
-        out.append(InstrumentCJ(d_in, d_out, tuple(ops)))
+    for k, spec in enumerate(_require_list(data["parties"], "instrument parties")):
+        what = f"instrument party {k}"
+        _require_object(spec, what)
+        d_in, d_out = spec["d_in"], spec["d_out"]
+        if not all(type(d) is int and d > 0 for d in (d_in, d_out)):
+            raise InvalidTable(f"{what}: d_in and d_out must be positive integers")
+        ops = tuple(
+            tuple(
+                _matrix_from_pairs(pairs, d_in * d_out, f"{what} operator")
+                for pairs in _require_list(per_setting, f"{what} operators")
+            )
+            for per_setting in _require_list(spec["operators"], f"{what} operators")
+        )
+        out.append(InstrumentCJ(d_in, d_out, ops))
     return out
 
 

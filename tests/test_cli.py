@@ -104,6 +104,30 @@ class TestBadInput:
         error = json.loads(proc.stderr.splitlines()[0])
         assert error["error"] in ("InvalidTable", "InvalidScenario")
 
+    @pytest.mark.parametrize(
+        "field",
+        ["game-settings", "process-matrix", "instrument-party"],
+    )
+    def test_malformed_field_exits_two(self, tmp_path, field):
+        from causelab.games import builtin_gyni
+
+        path = tmp_path / "bad.json"
+        one_party = {"settings": [2], "outcomes": [2], "inputs": [2], "outputs": [2]}
+        if field == "game-settings":
+            document = dict(ser.game_to_json(builtin_gyni()), settings=5)
+            args = ("bound", "--game", str(path), "--set", "causal")
+        elif field == "process-matrix":
+            document = {"scenario": one_party, "w": 5}
+            args = ("pm-eval", "--process", str(path), "--instruments", "canonical")
+        else:
+            document = {"parties": [1]}
+            args = ("pm-eval", "--process", "ocb", "--instruments", str(path))
+        path.write_text(json.dumps(document))
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr.splitlines()[0])["error"] == "InvalidTable"
+
 
 class TestEnumPf:
     def test_two_party_reduced(self):

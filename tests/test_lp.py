@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from causelab import (
     HullQuery,
@@ -11,7 +13,16 @@ from causelab import (
     hull_membership,
     lp_solve,
 )
+from causelab import lp as lp_module
 from causelab.errors import CapExceeded
+from causelab.games import (
+    builtin_gynin,
+    builtin_ocb,
+    classify,
+    gyni_perfect_correlation,
+    pc_bound_canonical,
+    pr_box_correlation,
+)
 from causelab.lp import format_lp
 
 ONE = Fraction(1)
@@ -34,6 +45,28 @@ def solve_square_system(rows, rhs):
                 factor = aug[r][col]
                 aug[r] = [v - factor * p for v, p in zip(aug[r], aug[col])]
     return [aug[r][n] for r in range(n)]
+
+
+def highs_reference(lp):
+    """Status and optimum of ``lp`` from scipy's floating-point HiGHS."""
+
+    def run(objective):
+        sign = -1.0 if lp.maximize else 1.0
+        res = linprog(
+            [sign * float(c) for c in objective],
+            A_ub=[[float(c) for c in coeffs] for coeffs, _ in lp.le] or None,
+            b_ub=[float(rhs) for _, rhs in lp.le] or None,
+            A_eq=[[float(c) for c in coeffs] for coeffs, _ in lp.eq] or None,
+            b_eq=[float(rhs) for _, rhs in lp.eq] or None,
+            method="highs",
+        )
+        return res.status, None if res.fun is None else sign * res.fun
+
+    code, value = run(lp.objective)
+    if code == 4:  # HiGHS reports "unbounded or infeasible": decide feasibility alone
+        code = 3 if run([0] * lp.n_vars)[0] == 0 else 2
+    statuses = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
+    return statuses[code], value
 
 
 class TestLpSolve:
@@ -123,6 +156,34 @@ class TestLpSolve:
         second = lp_solve(lp)
         assert first == second
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_highs(self, data):
+        """The exact simplex against scipy's float HiGHS on small random LPs."""
+        rational = st.builds(
+            Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 1, 2, 3, 4])
+        )
+        n = data.draw(st.integers(1, 4))
+        row = st.tuples(st.tuples(*[rational] * n), rational)
+        lp = LinearProgram(
+            objective=data.draw(st.tuples(*[rational] * n)),
+            maximize=data.draw(st.booleans()),
+            eq=tuple(data.draw(st.lists(row, max_size=3))),
+            le=tuple(data.draw(st.lists(row, max_size=4))),
+        )
+        sol = lp_solve(lp)
+        status, value = highs_reference(lp)
+        assert sol.status is status
+        if status is not LpStatus.OPTIMAL:
+            return
+        assert abs(float(sol.value) - value) <= 1e-9
+        assert all(v >= 0 for v in sol.x)
+        for coeffs, rhs in lp.eq:
+            assert sum(c * v for c, v in zip(coeffs, sol.x)) == rhs
+        for coeffs, rhs in lp.le:
+            assert sum(c * v for c, v in zip(coeffs, sol.x)) <= rhs
+        assert sum(c * v for c, v in zip(lp.objective, sol.x)) == sol.value
+
     def test_format_lp(self):
         lp = LinearProgram(objective=(ONE,), maximize=True, le=(((ONE,), ONE),))
         text = format_lp(lp)
@@ -188,3 +249,57 @@ class TestHullMembership:
         verts = tuple((Fraction(i), ZERO) for i in range(5))
         with pytest.raises(CapExceeded):
             hull_membership(HullQuery((ZERO, ZERO), verts), cap=4)
+
+
+class TestGoldenPivotPath:
+    """Pivot counts and certificates pinned to Bland's path through the tableau.
+
+    The benchmark reports ``lp.pivots`` by counting calls to ``lp._pivot``; the
+    counts below are that number, one per simplex pivot and per artificial
+    driven out of the basis after phase 1.
+    """
+
+    @pytest.fixture
+    def pivots(self, monkeypatch):
+        count = [0]
+        pivot = lp_module._pivot
+
+        def counted(*args):
+            count[0] += 1
+            return pivot(*args)
+
+        monkeypatch.setattr(lp_module, "_pivot", counted)
+        return count
+
+    def test_pc_bounds(self, pivots):
+        gynin = pc_bound_canonical.__wrapped__(builtin_gynin())
+        assert pivots[0] == 68
+        assert gynin.value == 1
+        half = Fraction(1, 2)
+        assert [j for j, v in enumerate(gynin.process.table) if v] == [
+            0, 7, 10, 13, 19, 20, 25, 30, 33, 38, 43, 44, 50, 53, 56, 63
+        ]
+        assert set(gynin.process.table) == {ZERO, half}
+        pivots[0] = 0
+        ocb = pc_bound_canonical.__wrapped__(builtin_ocb())
+        assert pivots[0] == 36
+        assert ocb.value == Fraction(3, 4)
+        assert ocb.process.table == tuple(
+            ONE if j in (0, 1, 2, 3, 12, 13, 14, 15) else ZERO for j in range(32)
+        )
+
+    @pytest.mark.parametrize(
+        "corr, count, signs, separation",
+        [
+            (gyni_perfect_correlation(), 48, "+-----+--+-----+", 4),
+            (pr_box_correlation(), 37, "+++----+---++++-", 2),
+        ],
+        ids=["gyni-perfect", "pr-box"],
+    )
+    def test_outside_hull_certificates(self, pivots, corr, count, signs, separation):
+        dc = classify(corr).dc
+        assert pivots[0] == count
+        assert dc.status == "out"
+        functional = tuple(ONE if s == "+" else -ONE for s in signs)
+        assert dc.certificate["separating_functional"] == functional
+        assert dc.certificate["separation"] == separation
