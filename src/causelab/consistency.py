@@ -101,6 +101,12 @@ def enumerate_output_choices(
         yield OutputChoice(tuple(maps))
 
 
+def _lex_maps(domain: int, alphabet: int) -> np.ndarray:
+    """Every map range(domain) -> range(alphabet), one per row, lexicographic order."""
+    places = alphabet ** np.arange(domain - 1, -1, -1, dtype=np.int64)
+    return np.arange(alphabet**domain, dtype=np.int64)[:, None] // places % alphabet
+
+
 def _choice_input_to_output_tables(scenario: Scenario, cap: int) -> np.ndarray:
     """Joint output flat(f(i)) at row c, column i_flat; choices c in lex order.
 
@@ -115,7 +121,7 @@ def _choice_input_to_output_tables(scenario: Scenario, cap: int) -> np.ndarray:
     stride = 1
     for k in reversed(range(n)):
         d_o, d_i = scenario.outputs[k], scenario.inputs[k]
-        maps = np.array(list(itertools.product(range(d_o), repeat=d_i)), dtype=np.int64)
+        maps = _lex_maps(d_i, d_o)
         shape = [1] * (2 * n)
         shape[k], shape[n + k] = maps.shape
         table = table + maps.reshape(shape) * stride

@@ -27,7 +27,6 @@ exact as well.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -40,6 +39,7 @@ from .consistency import (
     CANDIDATE_CAP,
     QuasiProcessFunction,
     _choice_input_to_output_tables,
+    _lex_maps,
     _survey_cached,
     is_logically_consistent,
 )
@@ -69,6 +69,7 @@ from .scenario import (
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+CAUSAL_STATE_CAP = 500_000
 DC_WORK_CAP = 20_000_000
 DC_GRID_CAP = 1 << 22
 DC_HGRID_CAP = 1 << 20
@@ -270,12 +271,13 @@ class CausalBoundResult:
     strategy: dict
 
 
-def causal_bound(game: Game, state_cap: int = 500_000) -> CausalBoundResult:
+def causal_bound(game: Game) -> CausalBoundResult:
     """Maximum score over deterministic adaptive definite-order strategies.
 
     The recursion picks a party to act next; its outcome may depend on its own
     setting and on all settings revealed so far, and the identity of the next
-    party may depend on those settings as well (dynamic order).
+    party may depend on those settings as well (dynamic order).  The memo
+    holds at most ``CAUSAL_STATE_CAP`` states.
     """
     sc = game.scenario
     n = sc.n_parties
@@ -296,8 +298,8 @@ def causal_bound(game: Game, state_cap: int = 500_000) -> CausalBoundResult:
         cached = memo.get(key)
         if cached is not None:
             return cached[0]
-        if len(memo) > state_cap:
-            raise SearchSpaceTooLarge(f"causal recursion exceeds {state_cap} states")
+        if len(memo) > CAUSAL_STATE_CAP:
+            raise SearchSpaceTooLarge(f"causal recursion exceeds {CAUSAL_STATE_CAP} states")
         winner: tuple[Fraction, int, tuple[int, ...]] | None = None
         for k in range(n):
             if not mask & (1 << k):
@@ -399,38 +401,25 @@ class DcBoundResult:
 class _DcSearch:
     """Shared machinery for the process-function bound and vertex collection."""
 
-    def __init__(self, scenario: Scenario, reduced: bool, candidate_cap: int):
+    def __init__(self, scenario: Scenario, candidate_cap: int):
         self.sc = scenario
-        self.survey = _survey_cached(scenario, reduced, candidate_cap)
+        self.survey = _survey_cached(scenario, True, candidate_cap)
         self.n = scenario.n_parties
         self.setting_tuples = list(scenario.setting_tuples())
         self.n_a = scenario.n_settings
-        self.choices = [
-            list(itertools.product(range(scenario.outputs[k]), repeat=scenario.inputs[k]))
-            for k in range(self.n)
-        ]
+        # Output choices per party; outcome maps over (setting, input) cells
+        # a * d_I + i (hmaps) and over inputs alone (smaps, one setting's slice).
+        self.choices = [_lex_maps(scenario.inputs[k], scenario.outputs[k]) for k in range(self.n)]
         self.F = [len(c) for c in self.choices]
         self.in_strides = _strides(scenario.inputs)
         self.x_strides = _strides(scenario.outcomes)
         self.ncells = [scenario.settings[k] * scenario.inputs[k] for k in range(self.n)]
-        self.H = [scenario.outcomes[k] ** self.ncells[k] for k in range(self.n)]
-        self.S = [scenario.outcomes[k] ** scenario.inputs[k] for k in range(self.n)]
-        self.hmaps = [
-            np.array(
-                list(itertools.product(range(scenario.outcomes[k]), repeat=self.ncells[k])),
-                dtype=np.int64,
-            )
-            for k in range(self.n)
-        ]
-        self.smaps = [
-            np.array(
-                list(itertools.product(range(scenario.outcomes[k]), repeat=scenario.inputs[k])),
-                dtype=np.int64,
-            )
-            for k in range(self.n)
-        ]
+        self.hmaps = [_lex_maps(self.ncells[k], scenario.outcomes[k]) for k in range(self.n)]
+        self.smaps = [_lex_maps(scenario.inputs[k], scenario.outcomes[k]) for k in range(self.n)]
+        self.H = [len(h) for h in self.hmaps]
+        self.S = [len(m) for m in self.smaps]
 
-    def function_rows(self, fp: tuple[int, ...], grid_cap: int):
+    def function_rows(self, fp: tuple[int, ...]):
         """Deduplicated fixed-point rows J(a) for one process function.
 
         Returns (rows, g_first, reps) where rows[r] is the a_flat-indexed
@@ -449,8 +438,8 @@ class _DcSearch:
 
         axes_cards = [n_classes[k] for k in range(self.n) for _ in range(self.sc.settings[k])]
         n_grid = prod(axes_cards)
-        if n_grid > grid_cap:
-            raise SearchSpaceTooLarge(f"{n_grid} intervention-output grids exceed cap {grid_cap}")
+        if n_grid > DC_GRID_CAP:
+            raise SearchSpaceTooLarge(f"{n_grid} intervention-output grids exceed cap {DC_GRID_CAP}")
         axis_offset = []
         off = 0
         for k in range(self.n):
@@ -592,30 +581,20 @@ def _decode_intervention(
         per_setting_out = []
         per_setting_x = []
         for a in range(sc.settings[k]):
-            class_id = digits[axis_offset[k] + a]
-            choice = search.choices[k][int(reps[k][class_id])]
-            per_setting_out.append(tuple(choice))
+            rep = reps[k][digits[axis_offset[k] + a]]
+            per_setting_out.append(tuple(search.choices[k][rep].tolist()))
             if k == last:
-                s = last_slices[a]
-                per_setting_x.append(tuple(int(v) for v in search.smaps[k][s]))
+                x_map = search.smaps[k][last_slices[a]]
             else:
-                m = other_maps[k]
-                per_setting_x.append(
-                    tuple(int(search.hmaps[k][m, a * sc.inputs[k] + i]) for i in range(sc.inputs[k]))
-                )
+                x_map = search.hmaps[k][other_maps[k], a * sc.inputs[k] : (a + 1) * sc.inputs[k]]
+            per_setting_x.append(tuple(x_map.tolist()))
         output_maps.append(tuple(per_setting_out))
         outcome_maps.append(tuple(per_setting_x))
     return DeterministicIntervention(tuple(output_maps), tuple(outcome_maps))
 
 
 @lru_cache(maxsize=16)
-def dc_bound(
-    game: Game,
-    reduced: bool = True,
-    candidate_cap: int = CANDIDATE_CAP,
-    grid_cap: int = DC_GRID_CAP,
-    hgrid_cap: int = DC_HGRID_CAP,
-) -> DcBoundResult:
+def dc_bound(game: Game, candidate_cap: int = CANDIDATE_CAP) -> DcBoundResult:
     """Exact maximum of the score over mixtures of process functions.
 
     Enumerates process functions, memoizes the unique fixed point per joint
@@ -623,16 +602,18 @@ def dc_bound(
     outcome maps with one party's maps optimized per-setting.  The witness is
     the first optimizer in enumeration order.  Results are cached per game
     (all arguments are immutable), since classification and the demo revisit
-    the same bounds.
+    the same bounds.  The search runs over the reduced process-function
+    survey; its grid caps are the module constants ``DC_GRID_CAP`` and
+    ``DC_HGRID_CAP``.
     """
     sc = game.scenario
-    search = _DcSearch(sc, reduced, candidate_cap)
+    search = _DcSearch(sc, candidate_cap)
     if not search.survey:
         raise AssertionError("constant maps always survive; empty survey is impossible")
     G, scale = _scaled_weighted_payoff(game)
     last = max(range(search.n), key=lambda k: (search.H[k], k))
     others = [k for k in range(search.n) if k != last]
-    if prod(search.H[k] for k in others) > hgrid_cap:
+    if prod(search.H[k] for k in others) > DC_HGRID_CAP:
         raise SearchSpaceTooLarge("outcome-map grid exceeds its cap")
 
     best_value: int | None = None
@@ -640,7 +621,7 @@ def dc_bound(
     memo: dict[bytes, int] = {}
 
     for maps, fp in search.survey:
-        rows, g_first, class_info = search.function_rows(fp, grid_cap)
+        rows, g_first, class_info = search.function_rows(fp)
         keys = [rows[r].tobytes() for r in range(rows.shape[0])]
         fresh = [r for r, key in enumerate(keys) if key not in memo]
         if fresh:
@@ -735,71 +716,54 @@ class ClassLabel:
 
 
 def _deterministic_correlation_vertices(
-    scenario: Scenario,
-    reduced: bool,
-    candidate_cap: int,
-    vertex_cap: int,
-    work_cap: int,
+    scenario: Scenario, candidate_cap: int, vertex_cap: int
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Deduplicated deterministic behaviours from (process function, intervention).
 
-    These are the extreme points spanning the deterministic-consistency hull.
+    These are the extreme points spanning the deterministic-consistency hull,
+    in ascending order of their 0/1 tables.  A behaviour is gathered as its
+    joint outcome at every joint setting, one row per (fixed-point row,
+    outcome-map family), from the search's own outcome-map tables.
     """
-    search = _DcSearch(scenario, reduced, candidate_cap)
+    search = _DcSearch(scenario, candidate_cap)
     n_a = scenario.n_settings
     raw_grid = prod(
         len(search.choices[k]) ** scenario.settings[k] for k in range(search.n)
     )
     h_grid = prod(search.H)
     estimate = len(search.survey) * raw_grid * (h_grid + 1) * n_a
-    if estimate > work_cap:
+    if estimate > DC_WORK_CAP:
         raise CapExceeded(
-            f"vertex enumeration needs about {estimate} steps, above the work cap {work_cap}"
+            f"vertex enumeration needs about {estimate} steps, above the work cap {DC_WORK_CAP}"
         )
 
-    hmap_lists = [
-        list(itertools.product(range(scenario.outcomes[k]), repeat=search.ncells[k]))
-        for k in range(search.n)
-    ]
-    vertices: set[tuple[int, ...]] = set()
+    settings_of = np.array(search.setting_tuples, dtype=np.int64)
+    behaviours = np.empty((0, n_a), dtype=np.int64)
     for _, fp in search.survey:
-        rows, _, _ = search.function_rows(fp, grid_cap=DC_GRID_CAP)
-        for r in range(rows.shape[0]):
-            row = rows[r]
-            cells = []
-            for a_flat, a in enumerate(search.setting_tuples):
-                i_flat = int(row[a_flat])
-                cells.append(
-                    tuple(
-                        a[k] * scenario.inputs[k]
-                        + (i_flat // search.in_strides[k]) % scenario.inputs[k]
-                        for k in range(search.n)
-                    )
-                )
-            for h in itertools.product(*hmap_lists):
-                vertex = [0] * (scenario.n_outcomes * n_a)
-                for a_flat in range(n_a):
-                    x_flat = 0
-                    for k in range(search.n):
-                        x_flat += h[k][cells[a_flat][k]] * search.x_strides[k]
-                    vertex[x_flat * n_a + a_flat] = 1
-                vertices.add(tuple(vertex))
-                if len(vertices) > vertex_cap:
-                    raise CapExceeded(
-                        f"more than {vertex_cap} deterministic behaviours; "
-                        "downgrade to witness mode"
-                    )
-    ordered = sorted(vertices)
-    return tuple(tuple(Fraction(v) for v in vertex) for vertex in ordered)
+        icomp = _input_components(search, search.function_rows(fp)[0])
+        # joint[r, h_1, ..., h_n, a]: joint outcome of row r under outcome maps h at a
+        joint = 0
+        for k in range(search.n):
+            cell = settings_of[:, k] * scenario.inputs[k] + icomp[k]
+            x_k = np.moveaxis(search.hmaps[k][:, cell], 0, 1) * search.x_strides[k]
+            shape = [1] * search.n
+            shape[k] = search.H[k]
+            joint = joint + x_k.reshape((x_k.shape[0], *shape, n_a))
+        behaviours = np.unique(np.concatenate([behaviours, joint.reshape(-1, n_a)]), axis=0)
+        if len(behaviours) > vertex_cap:
+            raise CapExceeded(
+                f"more than {vertex_cap} deterministic behaviours; downgrade to witness mode"
+            )
+    onehot = np.zeros((len(behaviours), scenario.n_outcomes * n_a), dtype=np.int8)
+    onehot[np.arange(len(behaviours))[:, None], behaviours * n_a + np.arange(n_a)] = 1
+    return tuple(tuple((ZERO, ONE)[v] for v in row) for row in np.unique(onehot, axis=0).tolist())
 
 
 def classify(
     corr: Correlation,
     witnesses: Sequence[Game] = (),
     vertex_cap: int = HULL_VERTEX_CAP,
-    work_cap: int = DC_WORK_CAP,
     candidate_cap: int = CANDIDATE_CAP,
-    reduced: bool = True,
 ) -> ClassLabel:
     """Three-valued membership report against the correlation hierarchy.
 
@@ -812,7 +776,9 @@ def classify(
     * deterministic-consistency: exact hull membership over the deterministic
       vertex set when the caps allow, otherwise witness mode (reported, never
       silent).  Membership is in the convex hull of deterministic behaviours,
-      the polytope the bound computations optimize over.
+      the polytope the bound computations optimize over.  ``vertex_cap``
+      bounds the vertex count; the vertex work estimate is capped by the
+      module constant ``DC_WORK_CAP``.
     """
     for witness in witnesses:
         if (
@@ -827,16 +793,10 @@ def classify(
         raise AssertionError("universal realization failed to replay")
     qc = SetVerdict("in", {"process": process, "interventions": family})
 
-    pinned = QuasiProcess(canonical_scenario(corr.scenario), corr.table)
-    verdict = is_logically_consistent(pinned, candidate_cap)
+    # The universal realization is already the canonical-intervention environment.
+    verdict = is_logically_consistent(process, candidate_cap)
     if verdict.consistent:
-        pc = SetVerdict(
-            "in",
-            {
-                "process": pinned,
-                "interventions": canonical_interventions(pinned.scenario),
-            },
-        )
+        pc = SetVerdict("in", {"process": process, "interventions": family})
     else:
         pc = SetVerdict(
             "unknown",
@@ -863,9 +823,7 @@ def classify(
                 break
 
     try:
-        vertices = _deterministic_correlation_vertices(
-            corr.scenario, reduced, candidate_cap, vertex_cap, work_cap
-        )
+        vertices = _deterministic_correlation_vertices(corr.scenario, candidate_cap, vertex_cap)
         result: HullResult = hull_membership(
             HullQuery(corr.table, vertices), cap=vertex_cap
         )
@@ -881,7 +839,7 @@ def classify(
     except CapExceeded as exc:
         status, certificate = "unknown", {"downgraded": str(exc)}
     for witness in witnesses:
-        bound = dc_bound(witness, reduced=reduced, candidate_cap=candidate_cap)
+        bound = dc_bound(witness, candidate_cap=candidate_cap)
         value = score(witness, corr)
         if value > bound.value:
             status = "out"

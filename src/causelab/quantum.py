@@ -380,16 +380,11 @@ def builtin_bfw() -> tuple[ProcessMatrix, list[InstrumentCJ]]:
     return pm, instruments
 
 
-def _matrix_from_pairs(pairs, dim: int) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    if flat.size != dim * dim:
-        raise InvalidTable(f"expected {dim * dim} matrix entries, got {flat.size}")
-    return flat.reshape(dim, dim)
-
-
 def builtin_ocb() -> tuple[ProcessMatrix, list[InstrumentCJ]]:
     """The two-qubit process and instruments reaching (2 + sqrt 2)/4 on the
     direction game; constants are vendored data verified by checksum."""
+    from . import serialize  # serialize imports this module
+
     data_path = resources.files("causelab").joinpath("data").joinpath(OCB_DATA_RESOURCE)
     raw = data_path.read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
@@ -398,20 +393,7 @@ def builtin_ocb() -> tuple[ProcessMatrix, list[InstrumentCJ]]:
             f"vendored process data checksum mismatch: {digest} != {OCB_DATA_SHA256}"
         )
     payload = json.loads(raw.decode("utf-8"))
-    sc = Scenario(
-        settings=tuple(payload["scenario"]["settings"]),
-        outcomes=tuple(payload["scenario"]["outcomes"]),
-        inputs=tuple(payload["scenario"]["inputs"]),
-        outputs=tuple(payload["scenario"]["outputs"]),
+    return (
+        serialize.process_matrix_from_json(payload),
+        serialize.instruments_from_json({"parties": payload["instruments"]}),
     )
-    dim = prod(sc.inputs) * prod(sc.outputs)
-    pm = ProcessMatrix(sc, _matrix_from_pairs(payload["w"], dim))
-    instruments = []
-    for k, spec in enumerate(payload["instruments"]):
-        d_in, d_out = spec["d_in"], spec["d_out"]
-        ops = tuple(
-            tuple(_matrix_from_pairs(op, d_in * d_out) for op in per_setting)
-            for per_setting in spec["operators"]
-        )
-        instruments.append(InstrumentCJ(d_in, d_out, ops))
-    return pm, instruments

@@ -178,11 +178,14 @@ def game_from_json(data: dict) -> Game:
     payoff = _table_from_rows(data["payoff"], sc.n_outcomes, sc.n_settings, "payoff")
     dist = tuple(rational_from_json(v) for v in _require_list(data["settings"], "settings"))
     bound = data.get("known_pc_bound")
+    name = data.get("name", "")
+    if not isinstance(name, str):
+        raise InvalidTable("game name must be a string")
     return Game(
         sc,
         payoff,
         dist,
-        name=data.get("name", ""),
+        name=name,
         known_pc_bound=None if bound is None else rational_from_json(bound),
     )
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ import pytest
 
 from causelab import QuasiProcessFunction, make_scenario, quasiprocess_from_function
 from causelab import serialize as ser
-from causelab.games import gyni_perfect_correlation
+from causelab.cli import main
+from causelab.games import gyni_perfect_correlation, gynin_perfect_correlation, pr_box_correlation
 
 
 def run_cli(*args, env=None):
@@ -106,7 +108,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize(
         "field",
-        ["game-settings", "process-matrix", "instrument-party"],
+        ["game-settings", "game-name-number", "game-name-list", "process-matrix", "instrument-party"],
     )
     def test_malformed_field_exits_two(self, tmp_path, field):
         from causelab.games import builtin_gyni
@@ -116,6 +118,10 @@ class TestBadInput:
         if field == "game-settings":
             document = dict(ser.game_to_json(builtin_gyni()), settings=5)
             args = ("bound", "--game", str(path), "--set", "causal")
+        elif field.startswith("game-name"):
+            name = 5 if field == "game-name-number" else ["x"]
+            document = dict(ser.game_to_json(builtin_gyni()), name=name)
+            args = ("bound", "--game", str(path), "--set", "dc")
         elif field == "process-matrix":
             document = {"scenario": one_party, "w": 5}
             args = ("pm-eval", "--process", str(path), "--instruments", "canonical")
@@ -218,3 +224,38 @@ class TestGlobalOptions:
         proc = run_cli("--format", "text", "bound", "--game", "gyni", "--set", "causal")
         assert proc.returncode == 0
         assert "causal bound for gyni: 1/2" in proc.stdout
+
+
+class TestGoldenReports:
+    """stdout of whole reports, pinned by SHA-256: a refactor keeps them byte-identical."""
+
+    DIGESTS = [
+        ("bound --game gynin --set causal", "db4426c101537d523d849969d0b57aef737b9fa96e2b4613bdd6f417b84075ef"),
+        ("bound --game gynin --set dc", "c11b224b33b14056916d733d7d040ea8eecaa3d8f5ef4d633145070ef626115b"),
+        ("bound --game gynin --set pc", "9a83f754c8ed091a714740b25e9f15473ec0ae974abcb50bdb604b02c29f191c"),
+        ("bound --game gyni --set causal", "86fe2ca20111dfbb0ee8f12ed817c7c82dd4aec72887afac802b552184215262"),
+        ("bound --game gyni --set dc", "27cbdcf6ec47166aa6eda436ff1ce55d42e8286fbffd30f7f21646170b8416bb"),
+        ("bound --game gyni --set pc", "9c12a906605a73f4c9844bf5e2b95fca857d8db8f506f429863bdf425c649a13"),
+        ("bound --game ocb --set causal", "af5b2bbebfcac5f10a5cda68c723eae67ac10c1c0bd00569d2d98418e1eeb568"),
+        ("bound --game ocb --set dc", "f43b29fd039a46e560bddbe1d5c5137f19aa5a0a3d4b668730ff319b71cd5cdf"),
+        ("bound --game ocb --set pc", "148b473800a4f8ee7f3b119b399faffe16958ac31aff207af6ebc15770a77d7a"),
+        ("bound --game chsh --set causal", "065036a207bd73c9daddbd1a1d9fa95088ae33fb282b134070b8275653b249a8"),
+        ("bound --game chsh --set dc", "7a3b943d3c3a2ca6fbb0ac39bfebc3ce4ee06ad53bce1d42a48cdd7aa4d24902"),
+        ("bound --game chsh --set pc", "75202a8c12a1f238cdccfe7163c3d8fc62d88f9b7e5c7875043090f2d14458dd"),
+        ("classify gynin-perfect.json --witness gynin", "7de0d1b92a307fdc6c1ce78599c6431fe53021eaee258c55c889352a509258c6"),
+        ("classify gyni-perfect.json --witness gyni", "b923b385b1e93532299a5428a11c06ba0fc33ea64d6e41127139a73dd6be74f9"),
+        ("classify pr-box.json --witness chsh", "b0ecc3bddac41c95a4cb1d141ae7dbb0965b74686ce9a8852873a169f8101b74"),
+        ("hierarchy-demo", "713230ae75043e64364f6e8534d445284508673cc9fdd67f36335ebccc503d08"),
+    ]
+
+    @pytest.mark.parametrize("command, digest", DIGESTS, ids=[c for c, _ in DIGESTS])
+    def test_stdout_digest(self, tmp_path, monkeypatch, capsys, command, digest):
+        monkeypatch.chdir(tmp_path)  # reports echo the correlation path as given
+        for name, corr in (
+            ("gynin-perfect.json", gynin_perfect_correlation()),
+            ("gyni-perfect.json", gyni_perfect_correlation()),
+            ("pr-box.json", pr_box_correlation()),
+        ):
+            ser.dump_json(name, ser.correlation_to_json(corr))
+        assert main(command.split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -10,9 +10,16 @@ from causelab import (
     make_scenario,
     quasiprocess_from_function,
 )
+from causelab.consistency import (
+    CANDIDATE_CAP,
+    OutputChoice,
+    enumerate_process_functions,
+    fixed_points,
+)
 from causelab.errors import ScenarioMismatch
 from causelab.games import (
     Game,
+    _deterministic_correlation_vertices,
     bfw_process,
     builtin_chsh,
     builtin_game,
@@ -28,6 +35,7 @@ from causelab.games import (
     pr_box_correlation,
     score,
 )
+from causelab.lp import HULL_VERTEX_CAP
 from causelab.scenario import flatten
 
 from conftest import random_correlation, random_guessing_game
@@ -159,6 +167,41 @@ def bipartite_dc_oracle(game: Game) -> Fraction:
                     if best is None or total > best:
                         best = total
     return best
+
+
+def deterministic_behaviours_oracle(scenario) -> tuple[tuple[Fraction, ...], ...]:
+    """DC vertices by definition, as sorted 0/1 tables p(x|a).
+
+    Every process function under every deterministic intervention: one output
+    map and one outcome map per (party, setting).  The fixed-point rows (the
+    joint input at each joint setting) are deduplicated before the outcome maps
+    are applied.
+    """
+    n, n_a = scenario.n_parties, scenario.n_settings
+
+    def per_setting(alphabet, k):
+        maps = list(itertools.product(range(alphabet[k]), repeat=scenario.inputs[k]))
+        return itertools.product(maps, repeat=scenario.settings[k])
+
+    output_families = list(itertools.product(*(per_setting(scenario.outputs, k) for k in range(n))))
+    outcome_families = list(itertools.product(*(per_setting(scenario.outcomes, k) for k in range(n))))
+    rows = set()
+    for omega in enumerate_process_functions(scenario):
+        for f in output_families:
+            row = []
+            for a in scenario.setting_tuples():
+                (i,) = fixed_points(omega, OutputChoice(tuple(f[k][a[k]] for k in range(n))))
+                row.append(i)
+            rows.add(tuple(row))
+    vertices = set()
+    for row in rows:
+        for g in outcome_families:
+            vertex = [0] * (scenario.n_outcomes * n_a)
+            for a_flat, (a, i) in enumerate(zip(scenario.setting_tuples(), row)):
+                x = tuple(g[k][a[k]][i[k]] for k in range(n))
+                vertex[flatten(x, scenario.outcomes) * n_a + a_flat] = 1
+            vertices.add(tuple(vertex))
+    return tuple(tuple(Fraction(v) for v in vertex) for vertex in sorted(vertices))
 
 
 class TestCausalBound:
@@ -371,6 +414,41 @@ class TestClassify:
     def test_witness_scenario_mismatch(self):
         with pytest.raises(ScenarioMismatch):
             classify(gynin_perfect_correlation(), (builtin_gyni(),))
+
+    @pytest.mark.parametrize(
+        "cards, count", [((1, 2, 2, 2, 2), 4), ((2, 2, 2, 1, 1), 16), ((2, 2, 2, 2, 2), 112)]
+    )
+    def test_vertex_set_follows_the_definition(self, cards, count):
+        sc = make_scenario(*cards)
+        oracle = deterministic_behaviours_oracle(sc)
+        assert len(oracle) == count
+        # an "in" certificate carries the whole vertex set, in its order
+        dc = classify(uniform_correlation(sc)).dc
+        assert dc.status == "in"
+        assert dc.certificate["vertices"] == oracle
+
+    def test_vertex_set_of_a_wide_bell_scenario(self):
+        # 8 joint outcomes at 27 joint settings: a behaviour read as one base-8
+        # number does not fit an int64 (8**27 > 2**63)
+        sc = make_scenario(3, 3, 2, 1, 1)
+        vertices = _deterministic_correlation_vertices(sc, CANDIDATE_CAP, HULL_VERTEX_CAP)
+        assert len(vertices) == 512
+        assert vertices == deterministic_behaviours_oracle(sc)
+
+    def test_work_cap_downgrades_to_unknown(self):
+        dc = classify(gynin_perfect_correlation()).dc
+        assert dc.status == "unknown"
+        assert dc.certificate == {
+            "downgraded": "vertex enumeration needs about 99882369024 steps, "
+            "above the work cap 20000000"
+        }
+
+    def test_vertex_cap_downgrades_to_unknown(self):
+        dc = classify(gyni_perfect_correlation(), vertex_cap=100).dc
+        assert dc.status == "unknown"
+        assert dc.certificate == {
+            "downgraded": "more than 100 deterministic behaviours; downgrade to witness mode"
+        }
 
 
 def strategy_code(tree):

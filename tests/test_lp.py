@@ -63,7 +63,10 @@ def highs_reference(lp):
         return res.status, None if res.fun is None else sign * res.fun
 
     code, value = run(lp.objective)
-    if code == 4:  # HiGHS reports "unbounded or infeasible": decide feasibility alone
+    # HiGHS reports "unbounded or infeasible" (4), and its presolve can call an
+    # unbounded LP infeasible (2), e.g. max x1+x2+x3 s.t. x1+x2-x3 <= 0,
+    # x1-x2+x3 <= 1: decide feasibility alone
+    if code in (2, 4):
         code = 3 if run([0] * lp.n_vars)[0] == 0 else 2
     statuses = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
     return statuses[code], value
