@@ -36,6 +36,9 @@ from .errors import InvalidMixture, SearchSpaceTooLarge
 from .scenario import QuasiProcess, Scenario, flatten, iter_tuples
 
 CANDIDATE_CAP = 2**32
+# Survey steps (candidates x output choices x joint inputs) allowed in one
+# survey; the numpy survey runs about 10^8 steps per second on one core.
+SURVEY_WORK_CAP = 10**10
 # Gathered (candidate, choice, input) cells held at once by the survey.
 SURVEY_BATCH_ELEMENTS = 1 << 16
 
@@ -235,11 +238,20 @@ def _survey_process_functions(
     Returns ``((maps, fp_table), ...)`` where ``fp_table[c]`` is the flattened
     unique fixed point at the c-th output choice (enumeration order).
     Candidates are scanned in lex order, in batches whose fixed points at every
-    choice come from one gather through the output-choice table.
+    choice come from one gather through the output-choice table.  The
+    candidate count is capped by ``cap``, then the work (candidates x output
+    choices x joint inputs) by ``SURVEY_WORK_CAP``, before anything is scanned.
     """
     axes, total = _candidate_axes(scenario, reduced)
     if total > cap:
         raise SearchSpaceTooLarge(f"{total} candidates exceed the cap {cap}")
+    choices = output_choice_count(scenario)
+    work = total * choices * scenario.n_inputs
+    if work > SURVEY_WORK_CAP:
+        raise SearchSpaceTooLarge(
+            f"the survey needs about {work} steps ({total} candidates x {choices} output "
+            f"choices x {scenario.n_inputs} joint inputs), above the work cap {SURVEY_WORK_CAP}"
+        )
     choice_io = _choice_input_to_output_tables(scenario, cap)
     in_strides = [prod(scenario.inputs[k + 1 :]) for k in range(scenario.n_parties)]
     # Candidate t's component k is axis k's entry at digit t // place[k] % len(axis).

@@ -73,6 +73,10 @@ CAUSAL_STATE_CAP = 500_000
 DC_WORK_CAP = 20_000_000
 DC_GRID_CAP = 1 << 22
 DC_HGRID_CAP = 1 << 20
+# Stacked-table or grid cells one step of the DC search gathers at once.
+DC_BATCH_CELLS = 1 << 18
+# Slice-score cells one _hopt_values step holds; small steps stay in cache.
+DC_SCORE_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -373,21 +377,32 @@ def _scaled_weighted_payoff(game: Game) -> tuple[np.ndarray, int]:
     return np.array(ints, dtype=np.int64).reshape(n_a, n_x), denom
 
 
-def _choice_classes(fp_nd: np.ndarray, axis: int):
-    """Group one party's output choices that induce identical fixed-point slices.
+def _digit_words(digits: np.ndarray, base: int) -> np.ndarray:
+    """Pack the last axis of digits in range(base) into exact int64 key words.
 
-    Returns (reps, class_of): representative choice indices in ascending order
-    and the map from choice index to class id.
+    A word holds at most as many digits as fit in 62 bits, so equal words
+    mean equal digits: one word when the whole axis fits, more when one
+    would overflow.  Returns shape ``digits.shape[:-1] + (n_words,)``.
     """
-    moved = np.moveaxis(fp_nd, axis, 0)
-    flat = moved.reshape(moved.shape[0], -1)
-    _, first_idx, inverse = np.unique(flat, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first_idx, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    reps = first_idx[order]
-    class_of = rank[inverse.reshape(-1)]
-    return reps.astype(np.int64), class_of.astype(np.int64)
+    bits = max(1, (base - 1).bit_length())
+    length = digits.shape[-1]
+    n_words = -(-length // (62 // bits))
+    per_word = -(-length // n_words)  # at most 62 // bits, spread evenly
+    places = np.left_shift(1, bits * np.arange(per_word, dtype=np.int64))
+    words = [
+        digits[..., start : start + per_word] @ places[: min(per_word, length - start)]
+        for start in range(0, length, per_word)
+    ]
+    return np.stack(words, axis=-1)
+
+
+def _unique_rows(keys: np.ndarray):
+    """``np.unique`` over the rows of a key-word array: (unique rows, first index, inverse)."""
+    if keys.shape[1] == 1:
+        unique, first, inverse = np.unique(keys[:, 0], return_index=True, return_inverse=True)
+        return unique[:, None], first, inverse
+    unique, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return unique, first, inverse.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -399,18 +414,28 @@ class DcBoundResult:
 
 
 class _DcSearch:
-    """Shared machinery for the process-function bound and vertex collection."""
+    """The DC search's tables for one scenario and its batched fixed-point-row kernel.
+
+    Built once per scenario (``_dc_search``) and shared by the process-function
+    bound and the vertex collection.  ``batches`` walks the reduced survey in
+    chunks of functions: for every function of a chunk at once it finds each
+    party's output-choice classes, groups the functions by their class-count
+    signature, and gathers each group's fixed-point rows with
+    ``function_rows`` through one index array per signature.
+    """
 
     def __init__(self, scenario: Scenario, candidate_cap: int):
         self.sc = scenario
         self.survey = _survey_cached(scenario, True, candidate_cap)
         self.n = scenario.n_parties
         self.setting_tuples = list(scenario.setting_tuples())
+        self.settings_of = np.array(self.setting_tuples, dtype=np.int64).reshape(-1, self.n)
         self.n_a = scenario.n_settings
         # Output choices per party; outcome maps over (setting, input) cells
         # a * d_I + i (hmaps) and over inputs alone (smaps, one setting's slice).
         self.choices = [_lex_maps(scenario.inputs[k], scenario.outputs[k]) for k in range(self.n)]
         self.F = [len(c) for c in self.choices]
+        self.fp_strides = _strides(self.F)
         self.in_strides = _strides(scenario.inputs)
         self.x_strides = _strides(scenario.outcomes)
         self.ncells = [scenario.settings[k] * scenario.inputs[k] for k in range(self.n)]
@@ -418,55 +443,114 @@ class _DcSearch:
         self.smaps = [_lex_maps(scenario.inputs[k], scenario.outcomes[k]) for k in range(self.n)]
         self.H = [len(h) for h in self.hmaps]
         self.S = [len(m) for m in self.smaps]
+        self._layouts: dict[tuple[int, ...], tuple] = {}
 
-    def function_rows(self, fp: tuple[int, ...]):
-        """Deduplicated fixed-point rows J(a) for one process function.
+    def first_choices(self, fps: np.ndarray) -> list[np.ndarray]:
+        """Per party k, the (m, F_k) mask of choices that come first in their class.
 
-        Returns (rows, g_first, reps) where rows[r] is the a_flat-indexed
-        array of flattened joint inputs, g_first[r] is the first class-grid
-        index realizing it, and reps holds each party's representative output
-        choices.
+        ``fps`` stacks m fixed-point tables (m, F_1, ..., F_n).  Two choices of
+        party k are in one class when fixing either leaves the same fixed
+        point at every choice of the other parties; each class is represented
+        by its first choice.
         """
-        fp_nd = np.array(fp, dtype=np.int64).reshape(tuple(self.F))
-        reps: list[np.ndarray] = []
-        n_classes: list[int] = []
+        m = fps.shape[0]
+        masks = []
         for k in range(self.n):
-            rep_k, _ = _choice_classes(fp_nd, k)
-            reps.append(rep_k)
-            n_classes.append(len(rep_k))
-        fp_c = fp_nd[np.ix_(*reps)]
+            slices = np.moveaxis(fps, k + 1, 1).reshape(m, self.F[k], -1)
+            keys = _digit_words(slices, self.sc.n_inputs)
+            same = (keys[:, :, None] == keys[:, None]).all(axis=3)
+            masks.append(same.argmax(axis=2) == np.arange(self.F[k]))
+        return masks
 
-        axes_cards = [n_classes[k] for k in range(self.n) for _ in range(self.sc.settings[k])]
-        n_grid = prod(axes_cards)
-        if n_grid > DC_GRID_CAP:
-            raise SearchSpaceTooLarge(f"{n_grid} intervention-output grids exceed cap {DC_GRID_CAP}")
-        axis_offset = []
-        off = 0
+    def _layout(self, counts: tuple[int, ...]):
+        """Class grid of one class-count signature: (axes_cards, axis_offset, index).
+
+        The grid has one axis per (party k, setting a_k) with ``counts[k]``
+        classes; ``index[g, a_flat]`` is the flat position, in the
+        (c_1, ..., c_n) class table, of the fixed point read at joint setting
+        a_flat on grid point g.  Built once per signature.
+        """
+        layout = self._layouts.get(counts)
+        if layout is None:
+            settings = self.sc.settings
+            axes_cards = [counts[k] for k in range(self.n) for _ in range(settings[k])]
+            n_grid = prod(axes_cards)
+            if n_grid > DC_GRID_CAP:
+                raise SearchSpaceTooLarge(
+                    f"{n_grid} intervention-output grids exceed cap {DC_GRID_CAP}"
+                )
+            axis_offset = [sum(settings[:k]) for k in range(self.n)]
+            digits = np.indices(axes_cards, dtype=np.int64).reshape(len(axes_cards), n_grid)
+            index = sum(
+                digits[axis_offset[k] + self.settings_of[:, k]] * stride
+                for k, stride in enumerate(_strides(counts))
+            )
+            layout = (axes_cards, axis_offset, np.ascontiguousarray(index.T))
+            self._layouts[counts] = layout
+        return layout
+
+    def function_rows(self, fps: np.ndarray, reps: list[np.ndarray]):
+        """Deduplicated fixed-point rows J(a) of functions sharing one class-count signature.
+
+        ``fps`` stacks the functions' fixed-point tables (m, F_1, ..., F_n) and
+        ``reps[k]`` (m, c_k) holds party k's first choice of every class,
+        ascending.  Returns (rows, g_first, (reps, axes_cards, axis_offset)):
+        each function's distinct rows in order of the first grid point
+        realizing them, functions in the given order.  The grid's first axis
+        is the function and the others are the class axes, so g_first[r] is a
+        flat index into the ``axes_cards`` grid and ``axis_offset[k] + a``
+        is party k's axis at setting a.
+        """
+        m = fps.shape[0]
+        counts = tuple(r.shape[1] for r in reps)
+        axes_cards, axis_offset, index = self._layout(counts)
+        # class table of function f: fps[f, reps[0][f, c_0], ..., reps[n-1][f, c_n-1]]
+        cell = np.zeros((m,) + counts, dtype=np.int64)
         for k in range(self.n):
-            axis_offset.append(off)
-            off += self.sc.settings[k]
+            shape = [m] + [1] * self.n
+            shape[k + 1] = counts[k]
+            cell += reps[k].reshape(shape) * self.fp_strides[k]
+        table = np.take_along_axis(fps.reshape(m, -1), cell.reshape(m, -1), axis=1)
+        J = table[:, index].reshape(-1, self.n_a)
+        ids = _unique_rows(_digit_words(J, self.sc.n_inputs))[2]
+        owner = np.arange(J.shape[0]) // index.shape[0]
+        _, first = np.unique(owner * J.shape[0] + ids, return_index=True)
+        g_first = np.sort(first)
+        return J[g_first], g_first, (reps, [m, *axes_cards], [1 + off for off in axis_offset])
 
-        J = np.empty((n_grid, self.n_a), dtype=np.int64)
-        full_shape = tuple(axes_cards)
-        for a_flat, a in enumerate(self.setting_tuples):
-            ix = []
-            for k in range(self.n):
-                axis = axis_offset[k] + a[k]
-                shape = [1] * len(axes_cards)
-                shape[axis] = n_classes[k]
-                ix.append(np.arange(n_classes[k], dtype=np.int64).reshape(shape))
-            col = fp_c[tuple(ix)]
-            J[:, a_flat] = np.broadcast_to(col, full_shape).reshape(-1)
+    def batches(self):
+        """Every survey function's fixed-point rows, one bounded chunk of functions at a time.
 
-        base = self.sc.n_inputs
-        if base**self.n_a < 2**62:
-            powers = base ** np.arange(self.n_a - 1, -1, -1, dtype=np.int64)
-            keys = J @ powers
-            _, first_idx = np.unique(keys, return_index=True)
-        else:  # pragma: no cover - desk-scale scenarios never reach this
-            _, first_idx = np.unique(J, axis=0, return_index=True)
-        order = np.sort(first_idx)
-        return J[order], order, (reps, axes_cards, axis_offset)
+        Yields (rows, sites) per chunk: the rows of all its functions, and per
+        ``function_rows`` call, in row order, (survey indices, g_first, class
+        info).  There is one call per class-count signature, split so that
+        none gathers more than ``DC_BATCH_CELLS`` grid cells.
+        """
+        step = max(1, DC_BATCH_CELLS // max(prod(self.F), max(self.F) ** 2))
+        for lo in range(0, len(self.survey), step):
+            yield self._chunk_rows(lo, lo + step)
+
+    def _chunk_rows(self, lo: int, hi: int):
+        # A call of its own, so each function_rows result is freed once concatenated.
+        fps = np.array([fp for _, fp in self.survey[lo:hi]], dtype=np.int64).reshape(-1, *self.F)
+        firsts = self.first_choices(fps)
+        counts = np.stack([mask.sum(axis=1) for mask in firsts], axis=1)
+        signatures, group_of = np.unique(counts, axis=0, return_inverse=True)
+        group_of = group_of.reshape(-1)
+        parts, sites = [], []
+        for g, signature in enumerate(signatures.tolist()):
+            members = np.flatnonzero(group_of == g)
+            per = max(1, DC_BATCH_CELLS // self._layout(tuple(signature))[2].size)
+            for start in range(0, len(members), per):
+                part = members[start : start + per]
+                reps = [np.nonzero(mask[part])[1].reshape(len(part), -1) for mask in firsts]
+                rows, g_first, class_info = self.function_rows(fps[part], reps)
+                parts.append(rows)
+                sites.append((lo + part, g_first, class_info))
+        return np.concatenate(parts), sites
+
+
+_dc_search = lru_cache(maxsize=16)(_DcSearch)
 
 
 def _slice_scores(
@@ -518,7 +602,7 @@ def _hopt_values(
     n_rows = rows.shape[0]
     grid_size = prod(search.H[k] for k in others)
     icomp = _input_components(search, rows)
-    chunk = max(1, (1 << 21) // max(1, grid_size))
+    chunk = max(1, DC_SCORE_CELLS // max(1, grid_size))
     values = np.empty(n_rows, dtype=np.int64)
     for start in range(0, n_rows, chunk):
         part = [c[start : start + chunk] for c in icomp]
@@ -568,12 +652,8 @@ def _decode_intervention(
 ) -> DeterministicIntervention:
     sc = search.sc
     reps, axes_cards, axis_offset = class_info
-    digits = []
-    remainder = grid_flat
-    for card in reversed(axes_cards):
-        digits.append(remainder % card)
-        remainder //= card
-    digits.reverse()
+    digits = np.unravel_index(grid_flat, axes_cards)
+    function = digits[0]
 
     output_maps = []
     outcome_maps = []
@@ -581,7 +661,7 @@ def _decode_intervention(
         per_setting_out = []
         per_setting_x = []
         for a in range(sc.settings[k]):
-            rep = reps[k][digits[axis_offset[k] + a]]
+            rep = reps[k][function, digits[axis_offset[k] + a]]
             per_setting_out.append(tuple(search.choices[k][rep].tolist()))
             if k == last:
                 x_map = search.smaps[k][last_slices[a]]
@@ -597,17 +677,20 @@ def _decode_intervention(
 def dc_bound(game: Game, candidate_cap: int = CANDIDATE_CAP) -> DcBoundResult:
     """Exact maximum of the score over mixtures of process functions.
 
-    Enumerates process functions, memoizes the unique fixed point per joint
-    setting for every deterministic output assignment, and exhausts the
-    outcome maps with one party's maps optimized per-setting.  The witness is
-    the first optimizer in enumeration order.  Results are cached per game
-    (all arguments are immutable), since classification and the demo revisit
-    the same bounds.  The search runs over the reduced process-function
-    survey; its grid caps are the module constants ``DC_GRID_CAP`` and
-    ``DC_HGRID_CAP``.
+    Every process function of the reduced survey contributes its fixed-point
+    rows (the unique fixed point at every joint setting, for every class of
+    deterministic output choices); ``_DcSearch.batches`` gathers them for a
+    whole chunk of functions at once.  Rows repeated within a chunk, or seen
+    in an earlier one, are scored once: one ``_hopt_values`` call per chunk
+    exhausts the outcome maps of the distinct new rows, with one party's maps
+    optimized per setting.  The witness is the first optimizer in (survey
+    order, row order).  Results are cached per game (all arguments are
+    immutable), since classification and the demo revisit the same bounds.
+    The grid caps are the module constants ``DC_GRID_CAP`` and
+    ``DC_HGRID_CAP``; ``DC_BATCH_CELLS`` bounds what one step gathers.
     """
     sc = game.scenario
-    search = _DcSearch(sc, candidate_cap)
+    search = _dc_search(sc, candidate_cap)
     if not search.survey:
         raise AssertionError("constant maps always survive; empty survey is impossible")
     G, scale = _scaled_weighted_payoff(game)
@@ -616,33 +699,39 @@ def dc_bound(game: Game, candidate_cap: int = CANDIDATE_CAP) -> DcBoundResult:
     if prod(search.H[k] for k in others) > DC_HGRID_CAP:
         raise SearchSpaceTooLarge("outcome-map grid exceeds its cap")
 
-    best_value: int | None = None
-    best_site = None  # (maps, fixed-point row, its first grid index, class info)
-    memo: dict[bytes, int] = {}
+    # distinct rows scored so far, as sorted key words, and their values
+    known = _digit_words(np.zeros((0, search.n_a), dtype=np.int64), sc.n_inputs)
+    known_values = np.zeros(0, dtype=np.int64)
+    best = None  # (value, survey index, fixed-point row, its first grid index, class info)
+    for rows, sites in search.batches():
+        merged, first, inverse = _unique_rows(
+            np.concatenate([known, _digit_words(rows, sc.n_inputs)])
+        )
+        values = np.empty(len(merged), dtype=np.int64)
+        values[inverse[: len(known)]] = known_values
+        fresh = np.flatnonzero(first >= len(known))
+        if len(fresh):
+            values[fresh] = _hopt_values(search, rows[first[fresh] - len(known)], G, last, others)
+        row_values = values[inverse[len(known) :]]
+        known, known_values = merged, values
+        end = 0
+        for members, g_first, class_info in sites:
+            start, end = end, end + len(g_first)
+            r = int(np.argmax(row_values[start:end]))
+            value = int(row_values[start + r])
+            index = int(members[g_first[r] // prod(class_info[1][1:])])
+            if best is None or value > best[0] or (value == best[0] and index < best[1]):
+                best = (value, index, rows[start + r], int(g_first[r]), class_info)
 
-    for maps, fp in search.survey:
-        rows, g_first, class_info = search.function_rows(fp)
-        keys = [rows[r].tobytes() for r in range(rows.shape[0])]
-        fresh = [r for r, key in enumerate(keys) if key not in memo]
-        if fresh:
-            values = _hopt_values(search, rows[fresh], G, last, others)
-            for pos, r in enumerate(fresh):
-                memo[keys[r]] = int(values[pos])
-        for r, key in enumerate(keys):
-            value = memo[key]
-            if best_value is None or value > best_value:
-                best_value = value
-                best_site = (maps, rows[r], int(g_first[r]), class_info)
-
-    assert best_value is not None and best_site is not None
-    maps, row, grid_flat, class_info = best_site
+    assert best is not None
+    best_value, index, row, grid_flat, class_info = best
     detail_value, other_maps, last_slices = _hopt_detail(search, row, G, last, others)
     if detail_value != best_value:  # pragma: no cover - batch and detail share the formulas
         raise AssertionError("witness reconstruction disagrees with the search optimum")
     intervention = _decode_intervention(
         search, grid_flat, class_info, other_maps, last, last_slices
     )
-    witness = QuasiProcessFunction(sc, maps)
+    witness = QuasiProcessFunction(sc, search.survey[index][0])
     return DcBoundResult(
         value=Fraction(best_value, scale),
         witness_function=witness,
@@ -721,11 +810,12 @@ def _deterministic_correlation_vertices(
     """Deduplicated deterministic behaviours from (process function, intervention).
 
     These are the extreme points spanning the deterministic-consistency hull,
-    in ascending order of their 0/1 tables.  A behaviour is gathered as its
-    joint outcome at every joint setting, one row per (fixed-point row,
-    outcome-map family), from the search's own outcome-map tables.
+    in ascending order of their 0/1 tables.  The fixed-point rows of every
+    function are deduplicated across the survey first; a behaviour is then
+    gathered as its joint outcome at every joint setting, one per (distinct
+    row, outcome-map family), from the search's own outcome-map tables.
     """
-    search = _DcSearch(scenario, candidate_cap)
+    search = _dc_search(scenario, candidate_cap)
     n_a = scenario.n_settings
     raw_grid = prod(
         len(search.choices[k]) ** scenario.settings[k] for k in range(search.n)
@@ -737,14 +827,18 @@ def _deterministic_correlation_vertices(
             f"vertex enumeration needs about {estimate} steps, above the work cap {DC_WORK_CAP}"
         )
 
-    settings_of = np.array(search.setting_tuples, dtype=np.int64)
+    rows = np.zeros((0, n_a), dtype=np.int64)  # distinct fixed-point rows of every function
+    for chunk_rows, _ in search.batches():
+        rows = np.concatenate([rows, chunk_rows])
+        rows = rows[_unique_rows(_digit_words(rows, scenario.n_inputs))[1]]
     behaviours = np.empty((0, n_a), dtype=np.int64)
-    for _, fp in search.survey:
-        icomp = _input_components(search, search.function_rows(fp)[0])
+    step = max(1, DC_BATCH_CELLS // (h_grid * n_a))
+    for start in range(0, len(rows), step):
+        icomp = _input_components(search, rows[start : start + step])
         # joint[r, h_1, ..., h_n, a]: joint outcome of row r under outcome maps h at a
         joint = 0
         for k in range(search.n):
-            cell = settings_of[:, k] * scenario.inputs[k] + icomp[k]
+            cell = search.settings_of[:, k] * scenario.inputs[k] + icomp[k]
             x_k = np.moveaxis(search.hmaps[k][:, cell], 0, 1) * search.x_strides[k]
             shape = [1] * search.n
             shape[k] = search.H[k]
@@ -778,7 +872,8 @@ def classify(
       silent).  Membership is in the convex hull of deterministic behaviours,
       the polytope the bound computations optimize over.  ``vertex_cap``
       bounds the vertex count; the vertex work estimate is capped by the
-      module constant ``DC_WORK_CAP``.
+      module constant ``DC_WORK_CAP`` and the hull LP's size by
+      ``lp.HULL_LP_CAP``.
     """
     for witness in witnesses:
         if (

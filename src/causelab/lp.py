@@ -28,6 +28,9 @@ from typing import Sequence
 from .errors import CapExceeded, InvalidTable
 
 HULL_VERTEX_CAP = 100_000
+# Coefficients (vertices x (dimension + 1)) of the hull feasibility LP; the
+# exact simplex takes about a second at this size and grows faster than it.
+HULL_LP_CAP = 20_000
 
 Row = tuple[tuple[Fraction, ...], Fraction]
 
@@ -257,12 +260,20 @@ def hull_membership(query: HullQuery, cap: int = HULL_VERTEX_CAP) -> HullResult:
 
     Inside: returns convex weights reproducing the point.  Outside: returns a
     rational functional phi with phi . point strictly above phi . v for every
-    vertex (checked exactly before returning).
+    vertex (checked exactly before returning).  More than ``cap`` vertices, or
+    a feasibility LP above ``HULL_LP_CAP`` coefficients, raises
+    :class:`CapExceeded` before any pivot.
     """
     n_verts = len(query.vertices)
     if n_verts > cap:
         raise CapExceeded(f"{n_verts} hull vertices exceed the cap {cap}")
     dim = len(query.point)
+    size = n_verts * (dim + 1)
+    if size > HULL_LP_CAP:
+        raise CapExceeded(
+            f"the hull LP has about {size} coefficients ({n_verts} vertices x {dim + 1} rows), "
+            f"above the LP size cap {HULL_LP_CAP}"
+        )
 
     eq_rows = []
     for j in range(dim):

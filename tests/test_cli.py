@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -141,6 +142,24 @@ class TestEnumPf:
         assert proc.returncode == 0
         data = report(proc)
         assert data["result"]["count"] == 12
+
+    def test_default_caps_stop_four_binary_parties_at_once(self):
+        # 2^32 reduced candidates equal CANDIDATE_CAP; the survey's work estimate stops it
+        started = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "causelab", "enum-pf", "--parties", "4", "--alphabet", "2",
+             "--reduced"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert time.monotonic() - started < 1.0
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line) == {
+            "error": "SearchSpaceTooLarge",
+            "message": "the survey needs about 17592186044416 steps (4294967296 candidates x "
+            "256 output choices x 16 joint inputs), above the work cap 10000000000",
+        }
 
     def test_cap_exceeded_exit_code(self):
         proc = run_cli(

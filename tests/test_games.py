@@ -1,8 +1,11 @@
+import functools
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causelab import (
     Correlation,
@@ -10,6 +13,7 @@ from causelab import (
     make_scenario,
     quasiprocess_from_function,
 )
+from causelab import games as games_module
 from causelab.consistency import (
     CANDIDATE_CAP,
     OutputChoice,
@@ -237,6 +241,15 @@ class TestCausalBound:
             assert causal_bound(game).value == bipartite_causal_oracle(game)
 
 
+# (scenario cardinalities, number of deterministic DC behaviours)
+VERTEX_SET_CASES = [((1, 2, 2, 2, 2), 4), ((2, 2, 2, 1, 1), 16), ((2, 2, 2, 2, 2), 112)]
+
+
+@functools.lru_cache(maxsize=None)
+def cached_vertex_oracle(cards):
+    return deterministic_behaviours_oracle(make_scenario(*cards))
+
+
 class TestDcBound:
     def test_gynin_five_eighths_with_replaying_witness(self):
         game = builtin_gynin()
@@ -279,6 +292,45 @@ class TestDcBound:
                 result.witness_intervention.to_family(game.scenario),
             )
             assert score(game, replay.to_correlation()) == result.value
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_value_is_the_best_vertex_score(self, data):
+        cards = data.draw(st.sampled_from(VERTEX_SET_CASES))[0]
+        sc = make_scenario(*cards)
+        n_cells = sc.n_outcomes * sc.n_settings
+        payoff = data.draw(st.lists(st.integers(-3, 3), min_size=n_cells, max_size=n_cells))
+        weights = data.draw(
+            st.lists(st.fractions(0, 1, max_denominator=6), min_size=sc.n_settings,
+                     max_size=sc.n_settings).filter(any)
+        )
+        game = Game(sc, tuple(payoff), tuple(w / sum(weights) for w in weights))
+        best = max(score(game, Correlation(sc, vertex)) for vertex in cached_vertex_oracle(cards))
+        result = dc_bound.__wrapped__(game)
+        assert result.value == best
+        replay = evaluate_correlation(
+            quasiprocess_from_function(result.witness_function),
+            result.witness_intervention.to_family(sc),
+        )
+        assert score(game, replay.to_correlation()) == best
+
+    @pytest.mark.parametrize("cells", [64, 4096])
+    def test_batch_size_does_not_change_the_search(self, monkeypatch, cells):
+        # small batches split the survey into many chunks and signature groups;
+        # the shifted gynin has a negative value, so no row may score a default 0
+        gynin = builtin_gynin()
+        shifted = Game(gynin.scenario, tuple(v - 1 for v in gynin.payoff), gynin.setting_dist)
+        search_games = (gynin, shifted, builtin_ocb())
+        gyni_sc = make_scenario(2, 2, 2, 2, 2)
+        found = [dc_bound.__wrapped__(g) for g in search_games]
+        assert found[1].value == Fraction(-3, 8)
+        vertices = _deterministic_correlation_vertices(gyni_sc, CANDIDATE_CAP, HULL_VERTEX_CAP)
+        monkeypatch.setattr(games_module, "DC_BATCH_CELLS", cells)
+        assert [dc_bound.__wrapped__(g) for g in search_games] == found
+        assert (
+            _deterministic_correlation_vertices(gyni_sc, CANDIDATE_CAP, HULL_VERTEX_CAP)
+            == vertices
+        )
 
     def test_gynin_invariant_under_cyclic_relabeling(self):
         base = builtin_gynin()
@@ -415,9 +467,7 @@ class TestClassify:
         with pytest.raises(ScenarioMismatch):
             classify(gynin_perfect_correlation(), (builtin_gyni(),))
 
-    @pytest.mark.parametrize(
-        "cards, count", [((1, 2, 2, 2, 2), 4), ((2, 2, 2, 1, 1), 16), ((2, 2, 2, 2, 2), 112)]
-    )
+    @pytest.mark.parametrize("cards, count", VERTEX_SET_CASES)
     def test_vertex_set_follows_the_definition(self, cards, count):
         sc = make_scenario(*cards)
         oracle = deterministic_behaviours_oracle(sc)
@@ -441,6 +491,17 @@ class TestClassify:
         assert dc.certificate == {
             "downgraded": "vertex enumeration needs about 99882369024 steps, "
             "above the work cap 20000000"
+        }
+
+    def test_hull_lp_cap_downgrades_to_unknown(self):
+        # 512 vertices in 216 dimensions: the exact hull LP would run for tens of seconds
+        started = time.monotonic()
+        dc = classify(uniform_correlation(make_scenario(3, 3, 2, 1, 1))).dc
+        assert time.monotonic() - started < 2.0
+        assert dc.status == "unknown"
+        assert dc.certificate == {
+            "downgraded": "the hull LP has about 111104 coefficients (512 vertices x 217 rows), "
+            "above the LP size cap 20000"
         }
 
     def test_vertex_cap_downgrades_to_unknown(self):
