@@ -5,7 +5,15 @@ Every subcommand writes one JSON report to stdout embedding the command, the
 effective configuration (seed, caps), and the library version, with
 sorted keys so that identical configurations produce byte-identical reports.
 Timing goes to stderr.  Exit codes: 0 success, 1 property violated or an
-inconsistent object detected, 2 bad input, 3 a cap was exceeded.
+inconsistent object detected, 2 bad input (including an input path that
+cannot be read), 3 a cap was exceeded.
+
+Importing this module imports every causelab module but not numpy: the
+numeric modules take ``np`` from ``causelab._lazy``, which loads numpy on the
+first numeric call.  Causal bounds, rejected inputs and surveys that a cap
+stops before they start exit without it.  The output-choice table (behind the
+process-function survey, the consistency vertex test and the PC LP rows), the
+DC search and every process-matrix command load it.
 """
 
 from __future__ import annotations
@@ -510,7 +518,7 @@ def main(argv: list[str] | None = None) -> int:
         ScenarioMismatch,
         NotCanonicalizable,
         NonDiagonal,
-        FileNotFoundError,
+        OSError,
         json.JSONDecodeError,
         KeyError,
         ValueError,

@@ -30,8 +30,7 @@ from functools import lru_cache
 from math import prod
 from typing import Iterator, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .errors import InvalidMixture, SearchSpaceTooLarge
 from .scenario import QuasiProcess, Scenario, flatten, iter_tuples
 

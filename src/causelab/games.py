@@ -33,8 +33,7 @@ from functools import lru_cache
 from math import lcm, prod
 from typing import Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .consistency import (
     CANDIDATE_CAP,
     QuasiProcessFunction,
@@ -432,17 +431,19 @@ class _DcSearch:
         self.settings_of = np.array(self.setting_tuples, dtype=np.int64).reshape(-1, self.n)
         self.n_a = scenario.n_settings
         # Output choices per party; outcome maps over (setting, input) cells
-        # a * d_I + i (hmaps) and over inputs alone (smaps, one setting's slice).
+        # a * d_I + i (hmap) and over inputs alone (smap, one setting's slice).
+        # A party's outcome-map table is built when a search first reads it,
+        # so the caps on the counts H and S run before any table exists.
         self.choices = [_lex_maps(scenario.inputs[k], scenario.outputs[k]) for k in range(self.n)]
         self.F = [len(c) for c in self.choices]
         self.fp_strides = _strides(self.F)
         self.in_strides = _strides(scenario.inputs)
         self.x_strides = _strides(scenario.outcomes)
         self.ncells = [scenario.settings[k] * scenario.inputs[k] for k in range(self.n)]
-        self.hmaps = [_lex_maps(self.ncells[k], scenario.outcomes[k]) for k in range(self.n)]
-        self.smaps = [_lex_maps(scenario.inputs[k], scenario.outcomes[k]) for k in range(self.n)]
-        self.H = [len(h) for h in self.hmaps]
-        self.S = [len(m) for m in self.smaps]
+        self.hmap = functools.cache(lambda k: _lex_maps(self.ncells[k], scenario.outcomes[k]))
+        self.smap = functools.cache(lambda k: _lex_maps(scenario.inputs[k], scenario.outcomes[k]))
+        self.H = [d_x**cells for d_x, cells in zip(scenario.outcomes, self.ncells)]
+        self.S = [d_x**d_i for d_x, d_i in zip(scenario.outcomes, scenario.inputs)]
         self._layouts: dict[tuple[int, ...], tuple] = {}
 
     def first_choices(self, fps: np.ndarray) -> list[np.ndarray]:
@@ -575,11 +576,11 @@ def _slice_scores(
         for a_flat in relevant:
             a = search.setting_tuples[a_flat]
             xflat = (
-                search.smaps[last][s, icomp[last][:, a_flat]] * search.x_strides[last]
+                search.smap(last)[s, icomp[last][:, a_flat]] * search.x_strides[last]
             ).reshape((nr,) + (1,) * len(others))
             for pos, k in enumerate(others):
                 cell = a[k] * sc.inputs[k] + icomp[k][:, a_flat]
-                xk = search.hmaps[k][:, cell].T * search.x_strides[k]
+                xk = search.hmap(k)[:, cell].T * search.x_strides[k]
                 shape = (nr,) + (1,) * pos + (search.H[k],) + (1,) * (len(others) - pos - 1)
                 xflat = xflat + xk.reshape(shape)
             acc += G[a_flat][xflat]
@@ -664,9 +665,9 @@ def _decode_intervention(
             rep = reps[k][function, digits[axis_offset[k] + a]]
             per_setting_out.append(tuple(search.choices[k][rep].tolist()))
             if k == last:
-                x_map = search.smaps[k][last_slices[a]]
+                x_map = search.smap(k)[last_slices[a]]
             else:
-                x_map = search.hmaps[k][other_maps[k], a * sc.inputs[k] : (a + 1) * sc.inputs[k]]
+                x_map = search.hmap(k)[other_maps[k], a * sc.inputs[k] : (a + 1) * sc.inputs[k]]
             per_setting_x.append(tuple(x_map.tolist()))
         output_maps.append(tuple(per_setting_out))
         outcome_maps.append(tuple(per_setting_x))
@@ -839,7 +840,7 @@ def _deterministic_correlation_vertices(
         joint = 0
         for k in range(search.n):
             cell = search.settings_of[:, k] * scenario.inputs[k] + icomp[k]
-            x_k = np.moveaxis(search.hmaps[k][:, cell], 0, 1) * search.x_strides[k]
+            x_k = np.moveaxis(search.hmap(k)[:, cell], 0, 1) * search.x_strides[k]
             shape = [1] * search.n
             shape[k] = search.H[k]
             joint = joint + x_k.reshape((x_k.shape[0], *shape, n_a))

@@ -23,17 +23,14 @@ validity, 1e-12 for the diagonal bridge) replace exact rationals.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from math import prod
 from typing import Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .errors import InvalidTable, NonDiagonal, ScenarioMismatch
 from .games import bfw_process
 from .scenario import (
@@ -383,6 +380,9 @@ def builtin_bfw() -> tuple[ProcessMatrix, list[InstrumentCJ]]:
 def builtin_ocb() -> tuple[ProcessMatrix, list[InstrumentCJ]]:
     """The two-qubit process and instruments reaching (2 + sqrt 2)/4 on the
     direction game; constants are vendored data verified by checksum."""
+    import hashlib
+    from importlib import resources
+
     from . import serialize  # serialize imports this module
 
     data_path = resources.files("causelab").joinpath("data").joinpath(OCB_DATA_RESOURCE)

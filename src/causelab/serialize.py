@@ -14,8 +14,7 @@ import json
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .consistency import QuasiProcessFunction
 from .errors import InvalidTable
 from .games import Game
@@ -202,7 +201,11 @@ def _matrix_from_pairs(pairs, dim: int, what: str) -> np.ndarray:
         for pair in pairs
     ):
         raise InvalidTable(f"{what}: entries must be [re, im] number pairs")
-    return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128).reshape(dim, dim)
+    try:
+        values = [complex(re, im) for re, im in pairs]
+    except OverflowError:
+        raise InvalidTable(f"{what}: an entry is beyond the double range") from None
+    return np.array(values, dtype=np.complex128).reshape(dim, dim)
 
 
 def process_matrix_to_json(pm: ProcessMatrix) -> dict:

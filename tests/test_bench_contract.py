@@ -17,12 +17,18 @@ import sys
 import pytest
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+SHIM = TRACING.with_name("cli_shim.py")
 
 
-def bench_targets():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def bench_targets():
+    tracing = load_tracing()
     return [(module, attr) for module, attr, _ in tracing.TARGETS] + [("causelab.lp", "_pivot")]
 
 
@@ -64,3 +70,38 @@ def test_tracer_reads_the_dc_search():
     metrics = json.loads(proc.stdout)
     for name in ("games.function_rows_calls", "games.fixed_point_rows", "games.grid_points"):
         assert metrics[name] > 0, name
+
+
+def test_cli_import_loads_every_traced_module():
+    """The traced CLI pass installs the tracer right after ``import causelab.cli``
+    and wraps only modules loaded by then, so that import must load them all."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys, causelab.cli; print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert {module for module, _ in bench_targets()} <= set(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize(
+    "args, metric",
+    [
+        (("bound", "--game", "chsh", "--set", "causal"), "games.causal_s"),
+        (("bound", "--game", "gynin", "--set", "dc"), "games.function_rows_s"),
+    ],
+    ids=["causal", "dc"],
+)
+def test_cli_shim_traces_what_the_cli_runs(tmp_path, args, metric):
+    """``bench/cli_shim.py`` prints what ``python -m causelab`` prints, exits
+    the same way, and its spans name the layer the command runs."""
+    spans_path = tmp_path / "spans.jsonl"
+    direct = subprocess.run(
+        [sys.executable, "-m", "causelab", *args], capture_output=True, text=True, timeout=120
+    )
+    shim = subprocess.run(
+        [sys.executable, str(SHIM), str(spans_path), "r0", "--", *args],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (shim.returncode, shim.stdout) == (direct.returncode, direct.stdout), shim.stderr
+    _, spans = load_tracing().read_spans(str(spans_path))
+    assert metric in {span["name"] for span in spans}

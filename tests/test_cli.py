@@ -1,11 +1,18 @@
+import contextlib
+import copy
+import functools
 import hashlib
+import io
 import json
+import operator
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causelab import QuasiProcessFunction, make_scenario, quasiprocess_from_function
 from causelab import serialize as ser
@@ -134,6 +141,83 @@ class TestBadInput:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stderr.splitlines()[0])["error"] == "InvalidTable"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("check-consistency", "DIR"),
+            ("classify", "DIR"),
+            ("bound", "--game", "DIR", "--set", "causal"),
+            ("pm-eval", "--process", "DIR"),
+        ],
+        ids=["check-consistency", "classify", "bound-game", "pm-eval-process"],
+    )
+    def test_unreadable_path_exits_two(self, tmp_path, args):
+        proc = run_cli(*(str(tmp_path) if arg == "DIR" else arg for arg in args))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line)["error"] == "IsADirectoryError"
+
+
+NUMPY_PROBE = """
+import contextlib, io, sys
+from causelab.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "numpy._core" in sys.modules)
+"""
+
+
+class TestNumpyLoadsOnFirstUse:
+    """Requests that reach no array exit without importing numpy."""
+
+    @staticmethod
+    def probe(*args):
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_PROBE, *map(str, args)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = proc.stdout.split()
+        return int(code), loaded == "True"
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["bare-list", "malformed-json", "missing-scenario", "missing-file", "wrong-shape",
+         "unnormalized"],
+    )
+    def test_bad_input_file(self, tmp_path, kind):
+        correlation = ser.correlation_to_json(gyni_perfect_correlation())
+        command, document = {
+            "bare-list": ("check-consistency", [[1, 0]]),
+            "malformed-json": ("check-consistency", '{"scenario": {"settings": [2'),
+            "missing-scenario": ("check-consistency", {"p": 5}),
+            "missing-file": ("classify", None),
+            "wrong-shape": ("classify", dict(correlation, p=correlation["p"][:-1])),
+            "unnormalized": (
+                "classify", dict(correlation, p=[["1/2"] + row[1:] for row in correlation["p"]])
+            ),
+        }[kind]
+        path = tmp_path / "input.json"
+        if document is not None:
+            path.write_text(document if isinstance(document, str) else json.dumps(document))
+        assert self.probe(command, path) == (2, False)
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (("bound", "--game", "chsh", "--set", "causal"), 0),
+            (("bound", "--game", "no-such-game", "--set", "dc"), 2),
+            (("enum-pf", "--parties", "4", "--alphabet", "2", "--reduced"), 3),
+        ],
+        ids=["causal-bound", "unknown-game", "four-party-cap"],
+    )
+    def test_lean_command(self, args, code):
+        assert self.probe(*args) == (code, False)
+
+    def test_dc_search_loads_numpy(self):
+        assert self.probe("bound", "--game", "gynin", "--set", "dc") == (0, True)
 
 
 class TestEnumPf:
@@ -278,3 +362,91 @@ class TestGoldenReports:
             ser.dump_json(name, ser.correlation_to_json(corr))
         assert main(command.split()) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# --- fuzzed documents on every file-reading path ---------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**1024)  # a JSON number no double holds
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _fuzz_documents() -> dict:
+    """Per file-reading path: (arguments with FILE for the document, valid document, other files)."""
+    from causelab import Game, canonical_interventions, evaluate_correlation
+    from causelab.quantum import classical_instruments, diagonal_from_classical
+
+    one = make_scenario(1, 2, 2, 2, 2)
+    qp = quasiprocess_from_function(QuasiProcessFunction(one, ((0, 0),)))
+    family = canonical_interventions(one)
+    game = Game(one, (1, 0, 0, 1), ("1/2", "1/2"), name="guess")
+    pm = ser.process_matrix_to_json(diagonal_from_classical(qp))
+    return {
+        "check-consistency": (["check-consistency", "FILE"], ser.quasiprocess_to_json(qp), {}),
+        "classify": (
+            ["classify", "FILE"],
+            ser.correlation_to_json(evaluate_correlation(qp, family).to_correlation()),
+            {},
+        ),
+        "bound-game": (["bound", "--game", "FILE", "--set", "dc"], ser.game_to_json(game), {}),
+        "pm-eval-process": (["pm-eval", "--process", "FILE", "--instruments", "canonical"], pm, {}),
+        "pm-eval-instruments": (
+            ["pm-eval", "--process", "PM", "--instruments", "FILE"],
+            ser.instruments_to_json(classical_instruments(family)),
+            {"PM": pm},
+        ),
+    }
+
+
+FUZZ_DOCUMENTS = _fuzz_documents()
+
+
+def _nodes(doc, path=()):
+    """Every position in a JSON document, as the key path from the root."""
+    yield path
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield from _nodes(value, path + (key,))
+
+
+@st.composite
+def mutated(draw, document):
+    """The document with one field dropped, or one value replaced by another JSON type."""
+    path = draw(st.sampled_from(list(_nodes(document))))
+    doc = copy.deepcopy(document)
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    old = parent[path[-1]] if path else doc
+    if path and draw(st.booleans()):
+        del parent[path[-1]]
+        return doc
+    value = draw(JSON_VALUES.filter(lambda v: type(v) is not type(old)))
+    if not path:
+        return value
+    parent[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("path_name", sorted(FUZZ_DOCUMENTS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_document_exits_cleanly(path_name, data):
+    args, document, others = FUZZ_DOCUMENTS[path_name]
+    doc = data.draw(mutated(document))
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"FILE": doc, **others}
+        for name, content in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                json.dump(content, fh)
+        argv = [os.path.join(tmp, arg) if arg in files else arg for arg in args]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -1,6 +1,9 @@
 import functools
 import itertools
+import json
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -250,6 +253,31 @@ def cached_vertex_oracle(cards):
     return deterministic_behaviours_oracle(make_scenario(*cards))
 
 
+WIDE_OUTCOME_MAPS = """
+import json, resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from fractions import Fraction
+from causelab import Scenario, evaluate_correlation, quasiprocess_from_function
+from causelab.games import Game, causal_bound, classify, dc_bound, score
+
+sc = Scenario(settings=(4, 2), outcomes=(3, 2), inputs=(4, 2), outputs=(2, 2))
+n_a = sc.n_settings
+payoff = [(x * 7 + a * 3) % 5 - 2 for x in range(sc.n_outcomes) for a in range(n_a)]
+game = Game(sc, tuple(payoff), (Fraction(1, n_a),) * n_a, name="wide")
+result = dc_bound(game)
+family = result.witness_intervention.to_family(sc)
+replay = evaluate_correlation(quasiprocess_from_function(result.witness_function), family)
+label = classify(replay.to_correlation(), (game,))
+print(json.dumps({
+    "value": str(result.value),
+    "replay": str(score(game, replay.to_correlation())),
+    "causal": str(causal_bound(game).value),
+    "dc_status": label.dc.status,
+    "certificate": {k: str(v) for k, v in label.dc.certificate.items()},
+}))
+"""
+
+
 class TestDcBound:
     def test_gynin_five_eighths_with_replaying_witness(self):
         game = builtin_gynin()
@@ -292,6 +320,21 @@ class TestDcBound:
                 result.witness_intervention.to_family(game.scenario),
             )
             assert score(game, replay.to_correlation()) == result.value
+
+    def test_wide_outcome_maps_fit_in_two_gigabytes(self):
+        """Party 1 has 3^16 outcome maps over its 16 (setting, input) cells, a
+        5.5 GB table that neither search reads: the DC search optimizes that
+        party per setting, and the vertex collection stops at its work cap."""
+        proc = subprocess.run(
+            [sys.executable, "-c", WIDE_OUTCOME_MAPS],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["replay"] == out["value"]
+        assert Fraction(out["causal"]) <= Fraction(out["value"])
+        assert out["dc_status"] == "unknown"
+        assert "above the work cap" in out["certificate"]["downgraded"]
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
