@@ -103,7 +103,8 @@ def _config(args, extra: dict) -> dict:
 
 def _emit(args, command: str, config: dict, result: dict) -> None:
     if args.format == "text":
-        for line in result.get("lines", [json.dumps(_jsonify(result), sort_keys=True)]):
+        default = [json.dumps(_jsonify(result), sort_keys=True, allow_nan=False)]
+        for line in result.get("lines", default):
             print(line)
         return
     report = {
@@ -112,7 +113,7 @@ def _emit(args, command: str, config: dict, result: dict) -> None:
         "version": __version__,
         "result": _jsonify({k: v for k, v in result.items() if k != "lines"}),
     }
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
 
 
 def _cmd_check_consistency(args) -> int:
@@ -500,11 +501,14 @@ def main(argv: list[str] | None = None) -> int:
     for name, default in _GLOBAL_DEFAULTS.items():
         if not hasattr(args, name):
             setattr(args, name, default)
+    problem = None
     if args.format == "csv" and args.command != "bound":
-        print(
-            json.dumps({"error": "bad-input", "message": "csv output is limited to bound tables"}),
-            file=sys.stderr,
-        )
+        problem = "csv output is limited to bound tables"
+    for flag in ("cap_candidates", "cap_vertices"):
+        if getattr(args, flag) < 1:
+            problem = f"--{flag.replace('_', '-')} must be at least 1, got {getattr(args, flag)}"
+    if problem:
+        print(json.dumps({"error": "bad-input", "message": problem}), file=sys.stderr)
         return 2
     started = time.monotonic()
     try:

@@ -805,6 +805,7 @@ class ClassLabel:
     dc: SetVerdict
 
 
+@lru_cache(maxsize=16)
 def _deterministic_correlation_vertices(
     scenario: Scenario, candidate_cap: int, vertex_cap: int
 ) -> tuple[tuple[Fraction, ...], ...]:
@@ -871,7 +872,9 @@ def classify(
     * deterministic-consistency: exact hull membership over the deterministic
       vertex set when the caps allow, otherwise witness mode (reported, never
       silent).  Membership is in the convex hull of deterministic behaviours,
-      the polytope the bound computations optimize over.  ``vertex_cap``
+      the polytope the bound computations optimize over.  "in" carries convex
+      weights over the vertices; "out" carries the hull LP's integer Farkas
+      functional and its separation from the vertices.  ``vertex_cap``
       bounds the vertex count; the vertex work estimate is capped by the
       module constant ``DC_WORK_CAP`` and the hull LP's size by
       ``lp.HULL_LP_CAP``.

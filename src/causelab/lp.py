@@ -12,9 +12,10 @@ rational tableau; only the returned optimum and vertex are
 thousand variables, which a dense tableau handles comfortably; there is
 deliberately no floating-point path.
 
-All variables are constrained non-negative.  Free quantities (as in the
-separating-functional search) are modelled by their callers as differences of
-two non-negative variables.
+All variables are constrained non-negative.  An INFEASIBLE result carries its
+proof, ``LpSolution.farkas``: the phase-1 dual y, one entry per eq row and then
+per le row, with y . A_j <= 0 for every column j, y_i <= 0 on le rows and
+y . b > 0, read off the final phase-1 tableau.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ class LpSolution:
     status: LpStatus
     value: Fraction | None = None
     x: tuple[Fraction, ...] | None = None
+    farkas: tuple[Fraction, ...] | None = None  # INFEASIBLE only: see the module docstring
 
 
 def format_lp(lp: LinearProgram) -> str:
@@ -190,13 +192,19 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
         else:
             basis.append(n + i - n_eq)
         rows.append(row)
+    initial = list(basis)
 
     if n_art:
         status = _run_simplex(rows, basis, [0] * ncols + [1] * n_art, ncols + n_art)
         if status is not LpStatus.OPTIMAL:  # pragma: no cover - phase 1 is always bounded
             raise AssertionError("phase-1 simplex cannot be unbounded")
         if any(row[-1] != 0 for row, b in zip(rows, basis) if b >= ncols):
-            return LpSolution(LpStatus.INFEASIBLE)
+            # Farkas ray y = c_B B^-1 (phase 1 costs 1 per artificial): column
+            # i of B^-1 is the tableau column of row i's initial basic variable.
+            art = [(row, row[b]) for row, b in zip(rows, basis) if b >= ncols]
+            y = [sum((Fraction(row[col], den) for row, den in art), start=ZERO) for col in initial]
+            signs = [-1 if rhs < 0 else 1 for _, rhs in lp.eq + lp.le]  # rows negated above
+            return LpSolution(LpStatus.INFEASIBLE, farkas=tuple(s * v for s, v in zip(signs, y)))
         # Drive remaining artificials out of the basis or drop redundant rows.
         keep: list[int] = []
         for i in range(len(rows)):
@@ -251,18 +259,18 @@ class HullQuery:
 class HullResult:
     inside: bool
     weights: tuple[Fraction, ...] | None = None
-    functional: tuple[Fraction, ...] | None = None
+    functional: tuple[Fraction, ...] | None = None  # integer Farkas functional
     separation: Fraction | None = None  # functional . point - max over vertices
 
 
 def hull_membership(query: HullQuery, cap: int = HULL_VERTEX_CAP) -> HullResult:
     """Exact convex-hull membership by LP feasibility.
 
-    Inside: returns convex weights reproducing the point.  Outside: returns a
-    rational functional phi with phi . point strictly above phi . v for every
-    vertex (checked exactly before returning).  More than ``cap`` vertices, or
-    a feasibility LP above ``HULL_LP_CAP`` coefficients, raises
-    :class:`CapExceeded` before any pivot.
+    Inside: returns convex weights reproducing the point.  Outside: returns the
+    feasibility LP's Farkas functional phi, a primitive integer vector with
+    phi . point strictly above phi . v for every vertex (checked exactly before
+    returning).  More than ``cap`` vertices, or a feasibility LP above
+    ``HULL_LP_CAP`` coefficients, raises :class:`CapExceeded` before any pivot.
     """
     n_verts = len(query.vertices)
     if n_verts > cap:
@@ -288,29 +296,16 @@ def hull_membership(query: HullQuery, cap: int = HULL_VERTEX_CAP) -> HullResult:
     if sol.status is LpStatus.OPTIMAL:
         return HullResult(inside=True, weights=sol.x)
 
-    # Separation LP: phi = phi_plus - phi_minus with |phi_j| <= 1, t free.
-    # maximize phi . q - t  subject to  phi . v - t <= 0 for every vertex.
-    n = 2 * dim + 2  # phi_plus, phi_minus, t_plus, t_minus
-    objective = list(query.point) + [-v for v in query.point] + [Fraction(-1), ONE]
-    le_rows = []
-    for vert in query.vertices:
-        le_rows.append((tuple(vert) + tuple(-v for v in vert) + (Fraction(-1), ONE), ZERO))
-    for j in range(dim):
-        box = [ZERO] * n
-        box[j] = ONE
-        box[dim + j] = ONE
-        le_rows.append((tuple(box), ONE))
-    sep = lp_solve(
-        LinearProgram(objective=tuple(objective), maximize=True, le=tuple(le_rows))
-    )
-    if sep.status is not LpStatus.OPTIMAL or sep.value is None or sep.value <= 0:
-        raise AssertionError("separation LP must have a positive optimum for an outside point")
-    phi = tuple(sep.x[j] - sep.x[dim + j] for j in range(dim))
+    # Farkas: y . (v, 1) <= 0 for every vertex v and y . (q, 1) > 0, so the
+    # first dim entries of y put q strictly above every vertex.
+    nums, _ = _scaled(sol.farkas[:dim])
+    g = gcd(*nums)
+    phi = tuple(Fraction(v // g) for v in nums)
     at_point = sum((p * q for p, q in zip(phi, query.point)), start=ZERO)
     best_vertex = max(
         sum((p * v for p, v in zip(phi, vert)), start=ZERO) for vert in query.vertices
     )
-    if at_point <= best_vertex:  # pragma: no cover - guarded by the LP optimum
+    if at_point <= best_vertex:  # pragma: no cover - guaranteed by the Farkas dual
         raise AssertionError("separating functional failed its exact strictness check")
     return HullResult(
         inside=False, functional=phi, separation=at_point - best_vertex

@@ -53,6 +53,10 @@ def _as_complex_matrix(data, dim: int) -> np.ndarray:
         raise InvalidTable(f"expected a {dim}x{dim} matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat.view(np.float64))):
         raise InvalidTable("matrix contains non-finite entries")
+    # validity reads the Hermitian part, so w + w^H must stay finite as well
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite((mat + mat.conj().T).view(np.float64))):
+            raise InvalidTable("matrix entries overflow w + w^H")
     mat.setflags(write=False)
     return mat
 

@@ -142,6 +142,18 @@ class TestBadInput:
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stderr.splitlines()[0])["error"] == "InvalidTable"
 
+    def test_overflowing_process_matrix_exits_two(self, tmp_path):
+        # finite entries whose Hermitian part w + w^H overflows the double range
+        path = tmp_path / "huge.json"
+        one_party = {"settings": [1], "outcomes": [2], "inputs": [2], "outputs": [1]}
+        path.write_text(json.dumps({"scenario": one_party, "w": [[1e308, 0], [0, 0], [0, 0], [1, 0]]}))
+        proc = run_cli("pm-eval", "--process", str(path), "--instruments", "canonical")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "RuntimeWarning" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line)["error"] == "InvalidTable"
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -319,6 +331,21 @@ class TestGlobalOptions:
         proc = run_cli("check-consistency", grandfather_file, "--format", "csv")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("flag", ["--cap-candidates", "--cap-vertices"])
+    @pytest.mark.parametrize("command", ["classify", "enum-pf"])
+    def test_caps_below_one_rejected(self, tmp_path, capsys, command, flag, value):
+        path = tmp_path / "gyni-perfect.json"
+        ser.dump_json(str(path), ser.correlation_to_json(gyni_perfect_correlation()))
+        args = [str(path)] if command == "classify" else ["--parties", "2", "--alphabet", "2"]
+        assert main([command, *args, flag, value]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "error": "bad-input", "message": f"{flag} must be at least 1, got {value}"
+        }
+
     def test_seed_recorded(self):
         proc = run_cli("--seed", "7", "bound", "--game", "gyni", "--set", "causal")
         assert report(proc)["config"]["seed"] == 7
@@ -346,8 +373,8 @@ class TestGoldenReports:
         ("bound --game chsh --set dc", "7a3b943d3c3a2ca6fbb0ac39bfebc3ce4ee06ad53bce1d42a48cdd7aa4d24902"),
         ("bound --game chsh --set pc", "75202a8c12a1f238cdccfe7163c3d8fc62d88f9b7e5c7875043090f2d14458dd"),
         ("classify gynin-perfect.json --witness gynin", "7de0d1b92a307fdc6c1ce78599c6431fe53021eaee258c55c889352a509258c6"),
-        ("classify gyni-perfect.json --witness gyni", "b923b385b1e93532299a5428a11c06ba0fc33ea64d6e41127139a73dd6be74f9"),
-        ("classify pr-box.json --witness chsh", "b0ecc3bddac41c95a4cb1d141ae7dbb0965b74686ce9a8852873a169f8101b74"),
+        ("classify gyni-perfect.json --witness gyni", "adfe5e412af6b17cdb72282bf3c8a890a0bb598a891cf46fb8123333bd39cc83"),
+        ("classify pr-box.json --witness chsh", "78351cfc90c1929cbbd59186f4d623301b293ceb4be526f27ba15284d5c8bc7f"),
         ("hierarchy-demo", "713230ae75043e64364f6e8534d445284508673cc9fdd67f36335ebccc503d08"),
     ]
 

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import math
 import random
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from causelab import (
     Correlation,
@@ -367,13 +368,11 @@ class TestDcBound:
         gyni_sc = make_scenario(2, 2, 2, 2, 2)
         found = [dc_bound.__wrapped__(g) for g in search_games]
         assert found[1].value == Fraction(-3, 8)
-        vertices = _deterministic_correlation_vertices(gyni_sc, CANDIDATE_CAP, HULL_VERTEX_CAP)
+        vertex_set = _deterministic_correlation_vertices.__wrapped__
+        vertices = vertex_set(gyni_sc, CANDIDATE_CAP, HULL_VERTEX_CAP)
         monkeypatch.setattr(games_module, "DC_BATCH_CELLS", cells)
         assert [dc_bound.__wrapped__(g) for g in search_games] == found
-        assert (
-            _deterministic_correlation_vertices(gyni_sc, CANDIDATE_CAP, HULL_VERTEX_CAP)
-            == vertices
-        )
+        assert vertex_set(gyni_sc, CANDIDATE_CAP, HULL_VERTEX_CAP) == vertices
 
     def test_gynin_invariant_under_cyclic_relabeling(self):
         base = builtin_gynin()
@@ -519,6 +518,46 @@ class TestClassify:
         dc = classify(uniform_correlation(sc)).dc
         assert dc.status == "in"
         assert dc.certificate["vertices"] == oracle
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_certificates_replay_on_the_oracle_vertices(self, data):
+        """Random normalized behaviours: "in" weights rebuild the point from the
+        oracle's vertices; an "out" functional is a primitive integer vector
+        strictly above every oracle vertex, by the reported separation."""
+        cards = data.draw(st.sampled_from(VERTEX_SET_CASES))[0]
+        sc = make_scenario(*cards)
+        n_x, n_a = sc.n_outcomes, sc.n_settings
+        oracle = cached_vertex_oracle(cards)
+        table = [Fraction(0)] * (n_x * n_a)
+        for a_flat in range(n_a):
+            column = data.draw(st.lists(st.integers(0, 4), min_size=n_x, max_size=n_x).filter(any))
+            for x_flat, v in enumerate(column):
+                table[x_flat * n_a + a_flat] = Fraction(v, sum(column))
+        point = tuple(table)
+        dc = classify(Correlation(sc, point)).dc
+        assert dc.status in ("in", "out")
+        event(f"{cards}: DC {dc.status}")
+        if dc.status == "in":
+            assert dc.certificate["vertices"] == oracle
+            weights = dc.certificate["weights"]
+            assert all(w >= 0 for w in weights) and sum(weights) == 1
+            rebuilt = tuple(
+                sum((w * v[j] for w, v in zip(weights, oracle)), start=Fraction(0))
+                for j in range(len(point))
+            )
+            assert rebuilt == point
+            return
+        phi = dc.certificate["separating_functional"]
+        assert all(v.denominator == 1 for v in phi)
+        assert functools.reduce(math.gcd, (int(v) for v in phi)) == 1
+
+        def at(vec):
+            return sum((f * v for f, v in zip(phi, vec)), start=Fraction(0))
+
+        best_vertex = max(at(vertex) for vertex in oracle)
+        assert at(point) > best_vertex
+        assert dc.certificate["separation"] == at(point) - best_vertex
 
     def test_vertex_set_of_a_wide_bell_scenario(self):
         # 8 joint outcomes at 27 joint settings: a behaviour read as one base-8

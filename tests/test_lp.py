@@ -177,6 +177,14 @@ class TestLpSolve:
         sol = lp_solve(lp)
         status, value = highs_reference(lp)
         assert sol.status is status
+        if status is LpStatus.INFEASIBLE:
+            # the Farkas ray: y . A_j <= 0 for every column, y <= 0 on le rows, y . b > 0
+            y, rows = sol.farkas, lp.eq + lp.le
+            assert len(y) == len(rows)
+            for j in range(n):
+                assert sum(y_i * coeffs[j] for y_i, (coeffs, _) in zip(y, rows)) <= 0
+            assert all(y_i <= 0 for y_i in y[len(lp.eq):])
+            assert sum(y_i * rhs for y_i, (_, rhs) in zip(y, rows)) > 0
         if status is not LpStatus.OPTIMAL:
             return
         assert abs(float(sol.value) - value) <= 1e-9
@@ -292,17 +300,17 @@ class TestGoldenPivotPath:
         )
 
     @pytest.mark.parametrize(
-        "corr, count, signs, separation",
+        "corr, count, functional, separation",
         [
-            (gyni_perfect_correlation(), 48, "+-----+--+-----+", 4),
-            (pr_box_correlation(), 37, "+++----+---++++-", 2),
+            (gyni_perfect_correlation(), 7, (1, -4, -4, 1, -4, -4, 1, 1, -4, 1, -4, 1, -4, 1, 1, 1), 5),
+            (pr_box_correlation(), 8, (1, 1, 1, -4, -4, -4, -4, 1, -4, -4, -4, 1, 1, 1, 1, -4), 5),
         ],
         ids=["gyni-perfect", "pr-box"],
     )
-    def test_outside_hull_certificates(self, pivots, corr, count, signs, separation):
+    def test_outside_hull_certificates(self, pivots, corr, count, functional, separation):
+        # phase 1 of the feasibility LP only: the functional is its Farkas ray
         dc = classify(corr).dc
         assert pivots[0] == count
         assert dc.status == "out"
-        functional = tuple(ONE if s == "+" else -ONE for s in signs)
-        assert dc.certificate["separating_functional"] == functional
+        assert dc.certificate["separating_functional"] == tuple(map(Fraction, functional))
         assert dc.certificate["separation"] == separation
