@@ -30,7 +30,6 @@ from .consistency import (  # noqa: F401
     quasiprocess_from_function,
 )
 from .lp import (  # noqa: F401
-    HullQuery,
     HullResult,
     LinearProgram,
     LpSolution,

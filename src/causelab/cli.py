@@ -53,7 +53,6 @@ from .games import (
     builtin_chsh,
     score,
 )
-from .lp import HULL_VERTEX_CAP
 from .quantum import (
     builtin_bfw,
     builtin_ocb as builtin_ocb_process,
@@ -95,7 +94,7 @@ def _config(args, extra: dict) -> dict:
     config = {
         "seed": args.seed,
         "format": args.format,
-        "caps": {"candidates": args.cap_candidates, "hull_vertices": args.cap_vertices},
+        "caps": {"candidates": args.cap_candidates},
     }
     config.update(extra)
     return config
@@ -231,12 +230,7 @@ def _verdicts_to_json(label: ClassLabel) -> dict:
 def _cmd_classify(args) -> int:
     corr = serialize.correlation_from_json(serialize.load_json(args.correlation))
     witnesses = tuple(_load_game(name) for name in args.witness or ())
-    label = classify(
-        corr,
-        witnesses,
-        vertex_cap=args.cap_vertices,
-        candidate_cap=args.cap_candidates,
-    )
+    label = classify(corr, witnesses, candidate_cap=args.cap_candidates)
     payload = _verdicts_to_json(label)
     payload["lines"] = [
         f"qC: {label.qc.status}  PC: {label.pc.status}  DC: {label.dc.status}"
@@ -339,9 +333,7 @@ def _cmd_hierarchy_demo(args) -> int:
     check("gynin-pc-bfw", pc.process.table == bfw.table, "optimal process equals the cyclic mixture table")
 
     gynin_point = gynin_perfect_correlation()
-    label = classify(
-        gynin_point, (gynin,), vertex_cap=args.cap_vertices, candidate_cap=args.cap_candidates
-    )
+    label = classify(gynin_point, (gynin,), candidate_cap=args.cap_candidates)
     check(
         "gynin-point",
         label.pc.status == "in" and label.dc.status == "out" and label.qc.status == "in",
@@ -357,9 +349,7 @@ def _cmd_hierarchy_demo(args) -> int:
         check(name, value == target, f"{_rat(value)} (target {_rat(target)})")
 
     gyni_point = gyni_perfect_correlation()
-    gyni_label = classify(
-        gyni_point, (gyni,), vertex_cap=args.cap_vertices, candidate_cap=args.cap_candidates
-    )
+    gyni_label = classify(gyni_point, (gyni,), candidate_cap=args.cap_candidates)
     check("gyni-point", gyni_label.dc.status == "out", f"DC {gyni_label.dc.status}")
 
     pm, instruments = builtin_ocb_process()
@@ -378,7 +368,7 @@ def _cmd_hierarchy_demo(args) -> int:
     chsh_dc = dc_bound(chsh, candidate_cap=args.cap_candidates).value
     chsh_pc = pc_bound_canonical(chsh, choice_cap=args.cap_candidates).value
     check("chsh-bounds", chsh_dc == Fraction(3, 4) and chsh_pc == Fraction(3, 4), f"dc {_rat(chsh_dc)}, pc {_rat(chsh_pc)}")
-    pr_label = classify(pr_box_correlation(), (chsh,), vertex_cap=args.cap_vertices)
+    pr_label = classify(pr_box_correlation(), (chsh,), candidate_cap=args.cap_candidates)
     check("pr-box", pr_label.dc.status == "out", f"DC {pr_label.dc.status}")
 
     # The three strict inclusions, witnessed where the tool can certify them.
@@ -436,7 +426,6 @@ _GLOBAL_DEFAULTS = {
     "seed": None,
     "format": "json",
     "cap_candidates": CANDIDATE_CAP,
-    "cap_vertices": HULL_VERTEX_CAP,
 }
 
 
@@ -449,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--format", choices=("json", "csv", "text"), default=argparse.SUPPRESS)
     common.add_argument("--cap-candidates", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--cap-vertices", type=int, default=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(
         prog="causelab",
@@ -504,9 +492,8 @@ def main(argv: list[str] | None = None) -> int:
     problem = None
     if args.format == "csv" and args.command != "bound":
         problem = "csv output is limited to bound tables"
-    for flag in ("cap_candidates", "cap_vertices"):
-        if getattr(args, flag) < 1:
-            problem = f"--{flag.replace('_', '-')} must be at least 1, got {getattr(args, flag)}"
+    if args.cap_candidates < 1:
+        problem = f"--cap-candidates must be at least 1, got {args.cap_candidates}"
     if problem:
         print(json.dumps({"error": "bad-input", "message": problem}), file=sys.stderr)
         return 2

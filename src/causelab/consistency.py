@@ -40,6 +40,9 @@ CANDIDATE_CAP = 2**32
 SURVEY_WORK_CAP = 10**10
 # Gathered (candidate, choice, input) cells held at once by the survey.
 SURVEY_BATCH_ELEMENTS = 1 << 16
+# Cells (output choices x joint inputs) of the output-choice table: 8 bytes
+# each, and the vertex test and the PC LP walk every cell in Python.
+CHOICE_TABLE_CELL_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -113,11 +116,19 @@ def _choice_input_to_output_tables(scenario: Scenario, cap: int) -> np.ndarray:
     """Joint output flat(f(i)) at row c, column i_flat; choices c in lex order.
 
     This one table answers "where does output choice f send joint input i" for
-    the survey, the vertex test and the canonical-PC LP.
+    the survey, the vertex test and the canonical-PC LP.  The choice count is
+    capped by ``cap`` and the table's cells by ``CHOICE_TABLE_CELL_CAP``
+    before anything is allocated.
     """
     count = output_choice_count(scenario)
     if count > cap:
         raise SearchSpaceTooLarge(f"{count} output choices exceed the cap {cap}")
+    cells = count * scenario.n_inputs
+    if cells > CHOICE_TABLE_CELL_CAP:
+        raise SearchSpaceTooLarge(
+            f"the output-choice table needs {cells} cells ({count} output choices x "
+            f"{scenario.n_inputs} joint inputs), above the cap {CHOICE_TABLE_CELL_CAP}"
+        )
     n = scenario.n_parties
     table = np.zeros((1,) * (2 * n), dtype=np.int64)
     stride = 1

@@ -43,15 +43,7 @@ from .consistency import (
     is_logically_consistent,
 )
 from .errors import CapExceeded, InvalidTable, ScenarioMismatch, SearchSpaceTooLarge
-from .lp import (
-    HULL_VERTEX_CAP,
-    HullQuery,
-    HullResult,
-    LinearProgram,
-    LpStatus,
-    hull_membership,
-    lp_solve,
-)
+from .lp import LinearProgram, LpStatus, check_hull_lp_size, hull_membership, lp_solve
 from .scenario import (
     Correlation,
     DeterministicIntervention,
@@ -76,6 +68,10 @@ DC_HGRID_CAP = 1 << 20
 DC_BATCH_CELLS = 1 << 18
 # Slice-score cells one _hopt_values step holds; small steps stay in cache.
 DC_SCORE_CELLS = 1 << 14
+# Scoring steps (distinct rows x other parties' outcome-map grid x the
+# distinguished party's slices x joint settings) in one dc_bound; the scoring
+# kernel runs about 10^8 steps per second on one core.
+DC_SCORE_WORK_CAP = 2 * 10**9
 
 
 @dataclass(frozen=True)
@@ -688,7 +684,9 @@ def dc_bound(game: Game, candidate_cap: int = CANDIDATE_CAP) -> DcBoundResult:
     order, row order).  Results are cached per game (all arguments are
     immutable), since classification and the demo revisit the same bounds.
     The grid caps are the module constants ``DC_GRID_CAP`` and
-    ``DC_HGRID_CAP``; ``DC_BATCH_CELLS`` bounds what one step gathers.
+    ``DC_HGRID_CAP``; ``DC_BATCH_CELLS`` bounds what one step gathers.  Before
+    a chunk is scored, the scoring work of every distinct row so far is
+    checked against ``DC_SCORE_WORK_CAP``.
     """
     sc = game.scenario
     search = _dc_search(sc, candidate_cap)
@@ -697,8 +695,10 @@ def dc_bound(game: Game, candidate_cap: int = CANDIDATE_CAP) -> DcBoundResult:
     G, scale = _scaled_weighted_payoff(game)
     last = max(range(search.n), key=lambda k: (search.H[k], k))
     others = [k for k in range(search.n) if k != last]
-    if prod(search.H[k] for k in others) > DC_HGRID_CAP:
+    grid = prod(search.H[k] for k in others)
+    if grid > DC_HGRID_CAP:
         raise SearchSpaceTooLarge("outcome-map grid exceeds its cap")
+    scored = 0  # distinct rows scored or about to be
 
     # distinct rows scored so far, as sorted key words, and their values
     known = _digit_words(np.zeros((0, search.n_a), dtype=np.int64), sc.n_inputs)
@@ -711,6 +711,14 @@ def dc_bound(game: Game, candidate_cap: int = CANDIDATE_CAP) -> DcBoundResult:
         values = np.empty(len(merged), dtype=np.int64)
         values[inverse[: len(known)]] = known_values
         fresh = np.flatnonzero(first >= len(known))
+        scored += len(fresh)
+        work = scored * grid * search.S[last] * search.n_a
+        if work > DC_SCORE_WORK_CAP:
+            raise SearchSpaceTooLarge(
+                f"DC scoring needs at least {work} steps ({scored} distinct fixed-point rows x "
+                f"{grid} outcome maps x {search.S[last]} slices x {search.n_a} settings), "
+                f"above the work cap {DC_SCORE_WORK_CAP}"
+            )
         if len(fresh):
             values[fresh] = _hopt_values(search, rows[first[fresh] - len(known)], G, last, others)
         row_values = values[inverse[len(known) :]]
@@ -807,15 +815,17 @@ class ClassLabel:
 
 @lru_cache(maxsize=16)
 def _deterministic_correlation_vertices(
-    scenario: Scenario, candidate_cap: int, vertex_cap: int
-) -> tuple[tuple[Fraction, ...], ...]:
+    scenario: Scenario, candidate_cap: int
+) -> tuple[tuple[int, ...], ...]:
     """Deduplicated deterministic behaviours from (process function, intervention).
 
     These are the extreme points spanning the deterministic-consistency hull,
-    in ascending order of their 0/1 tables.  The fixed-point rows of every
+    as 0/1 int rows in ascending order.  The fixed-point rows of every
     function are deduplicated across the survey first; a behaviour is then
     gathered as its joint outcome at every joint setting, one per (distinct
-    row, outcome-map family), from the search's own outcome-map tables.
+    row, outcome-map family), from the search's own outcome-map tables.  The
+    gather stops with :class:`CapExceeded` as soon as the distinct behaviours
+    are too many for the hull LP (``lp.check_hull_lp_size``).
     """
     search = _dc_search(scenario, candidate_cap)
     n_a = scenario.n_settings
@@ -846,19 +856,15 @@ def _deterministic_correlation_vertices(
             shape[k] = search.H[k]
             joint = joint + x_k.reshape((x_k.shape[0], *shape, n_a))
         behaviours = np.unique(np.concatenate([behaviours, joint.reshape(-1, n_a)]), axis=0)
-        if len(behaviours) > vertex_cap:
-            raise CapExceeded(
-                f"more than {vertex_cap} deterministic behaviours; downgrade to witness mode"
-            )
+        check_hull_lp_size(len(behaviours), scenario.n_outcomes * n_a)
     onehot = np.zeros((len(behaviours), scenario.n_outcomes * n_a), dtype=np.int8)
     onehot[np.arange(len(behaviours))[:, None], behaviours * n_a + np.arange(n_a)] = 1
-    return tuple(tuple((ZERO, ONE)[v] for v in row) for row in np.unique(onehot, axis=0).tolist())
+    return tuple(map(tuple, np.unique(onehot, axis=0).tolist()))
 
 
 def classify(
     corr: Correlation,
     witnesses: Sequence[Game] = (),
-    vertex_cap: int = HULL_VERTEX_CAP,
     candidate_cap: int = CANDIDATE_CAP,
 ) -> ClassLabel:
     """Three-valued membership report against the correlation hierarchy.
@@ -873,11 +879,11 @@ def classify(
       vertex set when the caps allow, otherwise witness mode (reported, never
       silent).  Membership is in the convex hull of deterministic behaviours,
       the polytope the bound computations optimize over.  "in" carries convex
-      weights over the vertices; "out" carries the hull LP's integer Farkas
-      functional and its separation from the vertices.  ``vertex_cap``
-      bounds the vertex count; the vertex work estimate is capped by the
-      module constant ``DC_WORK_CAP`` and the hull LP's size by
-      ``lp.HULL_LP_CAP``.
+      weights over the 0/1 vertex rows; "out" carries the hull LP's integer
+      Farkas functional and its separation from the vertices.  The vertex
+      work estimate is capped by the module constant ``DC_WORK_CAP``, and the
+      vertex gather stops once the hull LP would exceed ``lp.HULL_LP_CAP``
+      coefficients.
     """
     for witness in witnesses:
         if (
@@ -922,10 +928,8 @@ def classify(
                 break
 
     try:
-        vertices = _deterministic_correlation_vertices(corr.scenario, candidate_cap, vertex_cap)
-        result: HullResult = hull_membership(
-            HullQuery(corr.table, vertices), cap=vertex_cap
-        )
+        vertices = _deterministic_correlation_vertices(corr.scenario, candidate_cap)
+        result = hull_membership(corr.table, vertices)
         if result.inside:
             return ClassLabel(
                 qc=qc, pc=pc, dc=SetVerdict("in", {"vertices": vertices, "weights": result.weights})

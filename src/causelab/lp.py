@@ -28,7 +28,6 @@ from typing import Sequence
 
 from .errors import CapExceeded, InvalidTable
 
-HULL_VERTEX_CAP = 100_000
 # Coefficients (vertices x (dimension + 1)) of the hull feasibility LP; the
 # exact simplex takes about a second at this size and grows faster than it.
 HULL_LP_CAP = 20_000
@@ -237,25 +236,6 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
 
 
 @dataclass(frozen=True)
-class HullQuery:
-    """A rational point and the vertex list it is tested against."""
-
-    point: tuple[Fraction, ...]
-    vertices: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "point", tuple(Fraction(v) for v in self.point))
-        object.__setattr__(
-            self, "vertices", tuple(tuple(Fraction(v) for v in vert) for vert in self.vertices)
-        )
-        if not self.vertices:
-            raise InvalidTable("hull query needs at least one vertex")
-        dim = len(self.point)
-        if any(len(v) != dim for v in self.vertices):
-            raise InvalidTable("hull vertices must match the point's dimension")
-
-
-@dataclass(frozen=True)
 class HullResult:
     inside: bool
     weights: tuple[Fraction, ...] | None = None
@@ -263,36 +243,43 @@ class HullResult:
     separation: Fraction | None = None  # functional . point - max over vertices
 
 
-def hull_membership(query: HullQuery, cap: int = HULL_VERTEX_CAP) -> HullResult:
-    """Exact convex-hull membership by LP feasibility.
+def check_hull_lp_size(n_vertices: int, dim: int) -> None:
+    """Raise :class:`CapExceeded` when a hull LP over ``n_vertices`` vertices in
+    ``dim`` coordinates (or over more vertices) is above ``HULL_LP_CAP``.
+
+    The LP has n * (dim + 1) coefficients, above the cap exactly when
+    n > HULL_LP_CAP // (dim + 1), so a growing vertex list can be checked as
+    it grows.
+    """
+    if n_vertices > HULL_LP_CAP // (dim + 1):
+        raise CapExceeded(
+            f"the hull LP has at least {n_vertices * (dim + 1)} coefficients "
+            f"({n_vertices} vertices x {dim + 1} rows), above the LP size cap {HULL_LP_CAP}"
+        )
+
+
+def hull_membership(point: Sequence, vertices: Sequence[Sequence]) -> HullResult:
+    """Exact membership of a rational point in the convex hull of rational vertex rows.
 
     Inside: returns convex weights reproducing the point.  Outside: returns the
     feasibility LP's Farkas functional phi, a primitive integer vector with
     phi . point strictly above phi . v for every vertex (checked exactly before
-    returning).  More than ``cap`` vertices, or a feasibility LP above
-    ``HULL_LP_CAP`` coefficients, raises :class:`CapExceeded` before any pivot.
+    returning).  An empty vertex list or a row whose length differs from the
+    point's raises :class:`InvalidTable`, and a feasibility LP above
+    ``HULL_LP_CAP`` coefficients raises :class:`CapExceeded`, before any entry
+    is converted to a Fraction.
     """
-    n_verts = len(query.vertices)
-    if n_verts > cap:
-        raise CapExceeded(f"{n_verts} hull vertices exceed the cap {cap}")
-    dim = len(query.point)
-    size = n_verts * (dim + 1)
-    if size > HULL_LP_CAP:
-        raise CapExceeded(
-            f"the hull LP has about {size} coefficients ({n_verts} vertices x {dim + 1} rows), "
-            f"above the LP size cap {HULL_LP_CAP}"
-        )
+    if not vertices:
+        raise InvalidTable("hull query needs at least one vertex")
+    dim = len(point)
+    if any(len(v) != dim for v in vertices):
+        raise InvalidTable("hull vertices must match the point's dimension")
+    check_hull_lp_size(len(vertices), dim)
 
-    eq_rows = []
-    for j in range(dim):
-        eq_rows.append((tuple(v[j] for v in query.vertices), query.point[j]))
-    eq_rows.append((tuple(ONE for _ in range(n_verts)), ONE))
-    feasibility = LinearProgram(
-        objective=tuple(ZERO for _ in range(n_verts)),
-        maximize=False,
-        eq=tuple(eq_rows),
-    )
-    sol = lp_solve(feasibility)
+    point = tuple(Fraction(v) for v in point)
+    eq_rows = [(tuple(v[j] for v in vertices), point[j]) for j in range(dim)]
+    eq_rows.append(((ONE,) * len(vertices), ONE))
+    sol = lp_solve(LinearProgram(objective=(ZERO,) * len(vertices), eq=tuple(eq_rows)))
     if sol.status is LpStatus.OPTIMAL:
         return HullResult(inside=True, weights=sol.x)
 
@@ -301,12 +288,8 @@ def hull_membership(query: HullQuery, cap: int = HULL_VERTEX_CAP) -> HullResult:
     nums, _ = _scaled(sol.farkas[:dim])
     g = gcd(*nums)
     phi = tuple(Fraction(v // g) for v in nums)
-    at_point = sum((p * q for p, q in zip(phi, query.point)), start=ZERO)
-    best_vertex = max(
-        sum((p * v for p, v in zip(phi, vert)), start=ZERO) for vert in query.vertices
-    )
+    at_point = sum((p * q for p, q in zip(phi, point)), start=ZERO)
+    best_vertex = max(sum((p * v for p, v in zip(phi, vert)), start=ZERO) for vert in vertices)
     if at_point <= best_vertex:  # pragma: no cover - guaranteed by the Farkas dual
         raise AssertionError("separating functional failed its exact strictness check")
-    return HullResult(
-        inside=False, functional=phi, separation=at_point - best_vertex
-    )
+    return HullResult(inside=False, functional=phi, separation=at_point - best_vertex)

@@ -23,6 +23,7 @@ validity, 1e-12 for the diagonal bridge) replace exact rationals.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
 from dataclasses import dataclass
@@ -292,14 +293,20 @@ def pm_correlation(
     n_a, n_x = sc.n_settings, sc.n_outcomes
     table = [0.0] * (n_x * n_a)
     max_imag = 0.0
-    for a_flat, a in enumerate(sc.setting_tuples()):
-        for x_flat, x in enumerate(sc.outcome_tuples()):
-            tensor = instruments[0].operators[a[0]][x[0]]
-            for k in range(1, sc.n_parties):
-                tensor = np.kron(tensor, instruments[k].operators[a[k]][x[k]])
-            value = trace_product(pm.matrix, tensor)
-            max_imag = max(max_imag, abs(value.imag))
-            table[x_flat * n_a + a_flat] = value.real
+    # entries that each pass their own check may still overflow together
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a_flat, a in enumerate(sc.setting_tuples()):
+            for x_flat, x in enumerate(sc.outcome_tuples()):
+                tensor = instruments[0].operators[a[0]][x[0]]
+                for k in range(1, sc.n_parties):
+                    tensor = np.kron(tensor, instruments[k].operators[a[k]][x[k]])
+                value = trace_product(pm.matrix, tensor)
+                if not cmath.isfinite(value):
+                    raise InvalidTable(
+                        f"the trace rule overflows at settings {a}, outcomes {x}: {value}"
+                    )
+                max_imag = max(max_imag, abs(value.imag))
+                table[x_flat * n_a + a_flat] = value.real
     return NumericCorrelation(sc, tuple(table), max_imag)
 
 

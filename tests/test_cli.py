@@ -14,7 +14,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from causelab import QuasiProcessFunction, make_scenario, quasiprocess_from_function
+from causelab import QuasiProcess, QuasiProcessFunction, make_scenario, quasiprocess_from_function
 from causelab import serialize as ser
 from causelab.cli import main
 from causelab.games import gyni_perfect_correlation, gynin_perfect_correlation, pr_box_correlation
@@ -73,6 +73,31 @@ class TestBound:
         assert proc.returncode == 0
         assert report(proc)["result"]["value"] == "3/4"
 
+    def test_dc_scoring_cap_exits_three(self, tmp_path, capsys):
+        # 688 distinct fixed-point rows, each scored over one party's 65,536
+        # outcome maps, the other's 16 slices and 16 joint settings: the
+        # estimate stops the search before any row is scored
+        from fractions import Fraction
+
+        from causelab.games import Game
+
+        sc = make_scenario(2, 4, 2, 4, 2)
+        n_a = sc.n_settings
+        payoff = tuple((x * 7 + a * 3) % 5 - 2 for x in range(sc.n_outcomes) for a in range(n_a))
+        path = tmp_path / "wide.json"
+        ser.dump_json(str(path), ser.game_to_json(Game(sc, payoff, (Fraction(1, n_a),) * n_a)))
+        started = time.monotonic()
+        assert main(["bound", "--game", str(path), "--set", "dc"]) == 3
+        assert time.monotonic() - started < 5.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "error": "SearchSpaceTooLarge",
+            "message": "DC scoring needs at least 11542724608 steps (688 distinct fixed-point "
+            "rows x 65536 outcome maps x 16 slices x 16 settings), above the work cap 2000000000",
+        }
+
 
 class TestCheckConsistency:
     def test_grandfather_detected(self, grandfather_file):
@@ -91,6 +116,35 @@ class TestCheckConsistency:
         proc = run_cli("check-consistency", str(path))
         assert proc.returncode == 0
         assert report(proc)["result"]["consistent"] is True
+
+    def test_output_choice_table_cap_exits_three(self, tmp_path):
+        # 3 parties with 4-dim systems: 2^24 output choices x 64 joint inputs would
+        # ask numpy for 8 GiB; a child under a 2 GiB address-space limit must exit 3
+        # with the estimate instead of failing to allocate
+        sc = make_scenario(3, 1, 1, 4, 4)
+        table = [int(i == 0) for i in range(sc.n_inputs) for _ in range(sc.n_outputs)]
+        path = tmp_path / "wide.json"
+        ser.dump_json(str(path), ser.quasiprocess_to_json(QuasiProcess(sc, tuple(table))))
+        proc = subprocess.run(
+            [sys.executable, "-c", LIMITED_CLI, "check-consistency", str(path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line) == {
+            "error": "SearchSpaceTooLarge",
+            "message": "the output-choice table needs 1073741824 cells (16777216 output "
+            "choices x 64 joint inputs), above the cap 4194304",
+        }
+
+
+LIMITED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from causelab.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 class TestBadInput:
@@ -153,6 +207,27 @@ class TestBadInput:
         assert "RuntimeWarning" not in proc.stderr
         (line,) = proc.stderr.splitlines()
         assert json.loads(line)["error"] == "InvalidTable"
+
+    def test_overflowing_trace_rule_exits_two(self, tmp_path, capsys):
+        # each matrix passes its own w + w^H check; only their product overflows
+        from causelab.quantum import classical_instruments, diagonal_from_classical
+        from causelab.scenario import QuasiProcess, canonical_interventions
+
+        sc = make_scenario(1, 1, 2, 2, 1)
+        pm = ser.process_matrix_to_json(diagonal_from_classical(QuasiProcess(sc, (1, 0))))
+        pm["w"][0] = [1e200, 0.0]
+        instruments = ser.instruments_to_json(classical_instruments(canonical_interventions(sc)))
+        instruments["parties"][0]["operators"][0][0][0] = [1e200, -1e200]
+        pm_path, instr_path = tmp_path / "pm.json", tmp_path / "instruments.json"
+        pm_path.write_text(json.dumps(pm))
+        instr_path.write_text(json.dumps(instruments))
+        assert main(["pm-eval", "--process", str(pm_path), "--instruments", str(instr_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "InvalidTable"
+        assert error["message"].startswith("the trace rule overflows")
 
     @pytest.mark.parametrize(
         "args",
@@ -276,6 +351,28 @@ class TestClassify:
         assert data["result"]["dc"]["status"] == "out"
         assert data["result"]["dc"]["certificate"]["witness"] == "gyni"
 
+    def test_known_pc_bound_witness_puts_the_point_out_of_pc(self, tmp_path, capsys):
+        # the canonical realization of gyni-perfect is inconsistent, so PC is
+        # "unknown" until a witness game carries an unrestricted bound it beats
+        import dataclasses
+        from fractions import Fraction
+
+        from causelab.games import builtin_gyni
+
+        point, game = tmp_path / "gyni-perfect.json", tmp_path / "gyni-pc.json"
+        ser.dump_json(str(point), ser.correlation_to_json(gyni_perfect_correlation()))
+        witness = dataclasses.replace(builtin_gyni(), known_pc_bound=Fraction(1, 2))
+        ser.dump_json(str(game), ser.game_to_json(witness))
+        assert main(["classify", str(point)]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["pc"]["status"] == "unknown"
+        assert main(["classify", str(point), "--witness", str(game)]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["pc"] == {
+            "status": "out",
+            "certificate": {"witness": "gyni", "score": "1", "known_pc_bound": "1/2"},
+        }
+        assert result["dc"]["status"] == "out"
+
     def test_missing_file_is_bad_input(self):
         proc = run_cli("classify", "/nonexistent/corr.json")
         assert proc.returncode == 2
@@ -331,8 +428,15 @@ class TestGlobalOptions:
         proc = run_cli("check-consistency", grandfather_file, "--format", "csv")
         assert proc.returncode == 2
 
+    def test_cap_vertices_option_removed(self, capsys):
+        # the hull LP's size cap is the only vertex limit; the old flag is unknown
+        with pytest.raises(SystemExit) as exited:
+            main(["classify", "point.json", "--cap-vertices", "5"])
+        assert exited.value.code == 2
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("value", ["0", "-1"])
-    @pytest.mark.parametrize("flag", ["--cap-candidates", "--cap-vertices"])
+    @pytest.mark.parametrize("flag", ["--cap-candidates"])
     @pytest.mark.parametrize("command", ["classify", "enum-pf"])
     def test_caps_below_one_rejected(self, tmp_path, capsys, command, flag, value):
         path = tmp_path / "gyni-perfect.json"
@@ -360,22 +464,22 @@ class TestGoldenReports:
     """stdout of whole reports, pinned by SHA-256: a refactor keeps them byte-identical."""
 
     DIGESTS = [
-        ("bound --game gynin --set causal", "db4426c101537d523d849969d0b57aef737b9fa96e2b4613bdd6f417b84075ef"),
-        ("bound --game gynin --set dc", "c11b224b33b14056916d733d7d040ea8eecaa3d8f5ef4d633145070ef626115b"),
-        ("bound --game gynin --set pc", "9a83f754c8ed091a714740b25e9f15473ec0ae974abcb50bdb604b02c29f191c"),
-        ("bound --game gyni --set causal", "86fe2ca20111dfbb0ee8f12ed817c7c82dd4aec72887afac802b552184215262"),
-        ("bound --game gyni --set dc", "27cbdcf6ec47166aa6eda436ff1ce55d42e8286fbffd30f7f21646170b8416bb"),
-        ("bound --game gyni --set pc", "9c12a906605a73f4c9844bf5e2b95fca857d8db8f506f429863bdf425c649a13"),
-        ("bound --game ocb --set causal", "af5b2bbebfcac5f10a5cda68c723eae67ac10c1c0bd00569d2d98418e1eeb568"),
-        ("bound --game ocb --set dc", "f43b29fd039a46e560bddbe1d5c5137f19aa5a0a3d4b668730ff319b71cd5cdf"),
-        ("bound --game ocb --set pc", "148b473800a4f8ee7f3b119b399faffe16958ac31aff207af6ebc15770a77d7a"),
-        ("bound --game chsh --set causal", "065036a207bd73c9daddbd1a1d9fa95088ae33fb282b134070b8275653b249a8"),
-        ("bound --game chsh --set dc", "7a3b943d3c3a2ca6fbb0ac39bfebc3ce4ee06ad53bce1d42a48cdd7aa4d24902"),
-        ("bound --game chsh --set pc", "75202a8c12a1f238cdccfe7163c3d8fc62d88f9b7e5c7875043090f2d14458dd"),
-        ("classify gynin-perfect.json --witness gynin", "7de0d1b92a307fdc6c1ce78599c6431fe53021eaee258c55c889352a509258c6"),
-        ("classify gyni-perfect.json --witness gyni", "adfe5e412af6b17cdb72282bf3c8a890a0bb598a891cf46fb8123333bd39cc83"),
-        ("classify pr-box.json --witness chsh", "78351cfc90c1929cbbd59186f4d623301b293ceb4be526f27ba15284d5c8bc7f"),
-        ("hierarchy-demo", "713230ae75043e64364f6e8534d445284508673cc9fdd67f36335ebccc503d08"),
+        ("bound --game gynin --set causal", "56cd8faabdcbd16bc32510bd2e17c79976ed4858d7853a1c0ffad35a36c6281e"),
+        ("bound --game gynin --set dc", "35211ac678da9542e4d511eff90983dcddef54424e707b1042d64174900aeb2a"),
+        ("bound --game gynin --set pc", "153f5ba5a838a08123d302cfdae1df917ba47f36c6d8c9c2a9a3572b025c4a7e"),
+        ("bound --game gyni --set causal", "e1252e217e828d4b495c5e4a41355cbe27d8fb44d6d15eaf397e4630c10c98c5"),
+        ("bound --game gyni --set dc", "3a4499a2826a927caa9a553457d538958113823d26d6125d8db272acd592e46c"),
+        ("bound --game gyni --set pc", "7c2806d7326bb477292667a4e4d2730693575502c4e907aff536af840e865c6d"),
+        ("bound --game ocb --set causal", "9245662e8f9c25e3bff5ac34057149dd8a05bce60522872156def300ca9a4f35"),
+        ("bound --game ocb --set dc", "a3b9af8afd54ab1ed123a3a35daf31d06e13eece758da93f8f4c39fca85825b4"),
+        ("bound --game ocb --set pc", "8ab4242db4f7490e6e1edea4af341514a288ac047c63e339d54fb3ee4dcdc399"),
+        ("bound --game chsh --set causal", "fd0e2dcc2f03f24e32000dfae478bf232ce7a308beb8118ac35abb8dd2087f66"),
+        ("bound --game chsh --set dc", "145c26b9dd01abef715ed4e401f8981eb3e5e59b75ad3300927b2ad19a3275bc"),
+        ("bound --game chsh --set pc", "f0dadca11f55d6184dde6ffc7a5323a1eb8e10133851c584d25051a7f4a56568"),
+        ("classify gynin-perfect.json --witness gynin", "beba68488e779c5c7bb4d94ed9fdf03dffe8928ed04bf6dec5a3c2b73c315624"),
+        ("classify gyni-perfect.json --witness gyni", "6ba576512fa02d7d59cf9bc887e6c8c7ffb4e260f1fcea37770a41ca6870efb1"),
+        ("classify pr-box.json --witness chsh", "231ae74a80a2d55701419b6f289156411bd673e1082f8e2714dd5441160def5f"),
+        ("hierarchy-demo", "6cbbccbd1f100bf3131f93b2e81fc3aea245eb73e2a4ed6c38e96b160ea268a6"),
     ]
 
     @pytest.mark.parametrize("command, digest", DIGESTS, ids=[c for c, _ in DIGESTS])

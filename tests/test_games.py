@@ -24,7 +24,7 @@ from causelab.consistency import (
     enumerate_process_functions,
     fixed_points,
 )
-from causelab.errors import ScenarioMismatch
+from causelab.errors import CapExceeded, ScenarioMismatch
 from causelab.games import (
     Game,
     _deterministic_correlation_vertices,
@@ -43,7 +43,7 @@ from causelab.games import (
     pr_box_correlation,
     score,
 )
-from causelab.lp import HULL_VERTEX_CAP
+from causelab import lp as lp_module
 from causelab.scenario import flatten
 
 from conftest import random_correlation, random_guessing_game
@@ -369,10 +369,10 @@ class TestDcBound:
         found = [dc_bound.__wrapped__(g) for g in search_games]
         assert found[1].value == Fraction(-3, 8)
         vertex_set = _deterministic_correlation_vertices.__wrapped__
-        vertices = vertex_set(gyni_sc, CANDIDATE_CAP, HULL_VERTEX_CAP)
+        vertices = vertex_set(gyni_sc, CANDIDATE_CAP)
         monkeypatch.setattr(games_module, "DC_BATCH_CELLS", cells)
         assert [dc_bound.__wrapped__(g) for g in search_games] == found
-        assert vertex_set(gyni_sc, CANDIDATE_CAP, HULL_VERTEX_CAP) == vertices
+        assert vertex_set(gyni_sc, CANDIDATE_CAP) == vertices
 
     def test_gynin_invariant_under_cyclic_relabeling(self):
         base = builtin_gynin()
@@ -559,11 +559,13 @@ class TestClassify:
         assert at(point) > best_vertex
         assert dc.certificate["separation"] == at(point) - best_vertex
 
-    def test_vertex_set_of_a_wide_bell_scenario(self):
+    def test_vertex_set_of_a_wide_bell_scenario(self, monkeypatch):
         # 8 joint outcomes at 27 joint settings: a behaviour read as one base-8
-        # number does not fit an int64 (8**27 > 2**63)
+        # number does not fit an int64 (8**27 > 2**63).  The gather stops at the
+        # hull LP's size cap, which these 512 vertices exceed, so it is raised.
+        monkeypatch.setattr(lp_module, "HULL_LP_CAP", 512 * 217)
         sc = make_scenario(3, 3, 2, 1, 1)
-        vertices = _deterministic_correlation_vertices(sc, CANDIDATE_CAP, HULL_VERTEX_CAP)
+        vertices = _deterministic_correlation_vertices.__wrapped__(sc, CANDIDATE_CAP)
         assert len(vertices) == 512
         assert vertices == deterministic_behaviours_oracle(sc)
 
@@ -582,16 +584,29 @@ class TestClassify:
         assert time.monotonic() - started < 2.0
         assert dc.status == "unknown"
         assert dc.certificate == {
-            "downgraded": "the hull LP has about 111104 coefficients (512 vertices x 217 rows), "
+            "downgraded": "the hull LP has at least 111104 coefficients (512 vertices x 217 rows), "
             "above the LP size cap 20000"
         }
 
-    def test_vertex_cap_downgrades_to_unknown(self):
-        dc = classify(gyni_perfect_correlation(), vertex_cap=100).dc
+    def test_vertex_cap_downgrades_to_unknown(self, monkeypatch):
+        # 16 coordinates, so 17 coefficients per vertex: a cap of 170 allows 10 of
+        # the 112 vertices.  With one fixed-point row per gather step the gather
+        # stops once the distinct behaviours pass 10, long before all 112.
+        monkeypatch.setattr(lp_module, "HULL_LP_CAP", 170)
+        monkeypatch.setattr(games_module, "DC_BATCH_CELLS", 1024)
+        gather = _deterministic_correlation_vertices.__wrapped__
+        with pytest.raises(CapExceeded) as stopped:
+            gather(make_scenario(2, 2, 2, 2, 2), CANDIDATE_CAP)
+        message = str(stopped.value)
+        seen = int(message.split("(")[1].split(" vertices")[0])
+        assert 10 < seen < 112
+        assert message == (
+            f"the hull LP has at least {17 * seen} coefficients ({seen} vertices x 17 rows), "
+            "above the LP size cap 170"
+        )
+        dc = classify(gyni_perfect_correlation()).dc
         assert dc.status == "unknown"
-        assert dc.certificate == {
-            "downgraded": "more than 100 deterministic behaviours; downgrade to witness mode"
-        }
+        assert dc.certificate["downgraded"].endswith("above the LP size cap 170")
 
 
 def strategy_code(tree):

@@ -7,14 +7,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from causelab import (
-    HullQuery,
     LinearProgram,
     LpStatus,
     hull_membership,
     lp_solve,
 )
 from causelab import lp as lp_module
-from causelab.errors import CapExceeded
+from causelab.errors import CapExceeded, InvalidTable
 from causelab.games import (
     builtin_gynin,
     builtin_ocb,
@@ -204,20 +203,20 @@ class TestLpSolve:
 class TestHullMembership:
     def test_vertex_is_inside_with_unit_weight(self):
         verts = ((ONE, ZERO), (ZERO, ONE))
-        result = hull_membership(HullQuery((ONE, ZERO), verts))
+        result = hull_membership((ONE, ZERO), verts)
         assert result.inside
         assert result.weights == (ONE, ZERO)
 
     def test_midpoint_weights(self):
         verts = ((ONE, ZERO), (ZERO, ONE))
-        result = hull_membership(HullQuery((Fraction(1, 2), Fraction(1, 2)), verts))
+        result = hull_membership((Fraction(1, 2), Fraction(1, 2)), verts)
         assert result.inside
         assert result.weights == (Fraction(1, 2), Fraction(1, 2))
 
     def test_outside_point_gets_strict_separator(self):
         verts = ((ONE, ZERO), (ZERO, ONE), (ZERO, ZERO))
         point = (ONE, ONE)
-        result = hull_membership(HullQuery(point, verts))
+        result = hull_membership(point, verts)
         assert not result.inside
         value = sum(p * q for p, q in zip(result.functional, point))
         for vert in verts:
@@ -231,7 +230,7 @@ class TestHullMembership:
         )
         for _ in range(10):
             point = tuple(Fraction(rng.randint(4, 7), 3) for _ in range(3))
-            result = hull_membership(HullQuery(point, verts))
+            result = hull_membership(point, verts)
             assert not result.inside
             value = sum(p * q for p, q in zip(result.functional, point))
             assert all(
@@ -249,17 +248,27 @@ class TestHullMembership:
         point = tuple(
             sum(w * v[j] for w, v in zip(weights, verts)) for j in range(3)
         )
-        result = hull_membership(HullQuery(point, verts))
+        result = hull_membership(point, verts)
         assert result.inside
         rebuilt = tuple(
             sum(w * v[j] for w, v in zip(result.weights, verts)) for j in range(3)
         )
         assert rebuilt == point
 
-    def test_cap(self):
-        verts = tuple((Fraction(i), ZERO) for i in range(5))
-        with pytest.raises(CapExceeded):
-            hull_membership(HullQuery((ZERO, ZERO), verts), cap=4)
+    def test_cap(self, monkeypatch):
+        # 3 coefficients per vertex in 2 coordinates: a cap of 12 allows 4 vertices.
+        # The size is read before any entry is converted, so rows that are not
+        # numbers still meet the cap rather than a conversion error.
+        monkeypatch.setattr(lp_module, "HULL_LP_CAP", 12)
+        assert hull_membership((0, 0), tuple((i, 0) for i in range(4))).inside
+        with pytest.raises(CapExceeded, match=r"at least 15 coefficients \(5 vertices x 3 rows\)"):
+            hull_membership((0, 0), (("not a number", 0),) * 5)
+
+    def test_empty_or_ragged_vertices_rejected(self):
+        with pytest.raises(InvalidTable):
+            hull_membership((ZERO, ZERO), ())
+        with pytest.raises(InvalidTable):
+            hull_membership((ZERO, ZERO), ((1, 0), (0, 1, 0)))
 
 
 class TestGoldenPivotPath:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -67,6 +68,13 @@ class TestTables:
     def test_ocb_game_round_trip(self):
         game = builtin_ocb()
         assert ser.game_from_json(ser.game_to_json(game)) == game
+
+    def test_known_pc_bound_round_trip(self):
+        game = dataclasses.replace(builtin_gynin(), known_pc_bound=Fraction(3, 4))
+        data = ser.game_to_json(game)
+        assert data["known_pc_bound"] == "3/4"
+        assert ser.game_from_json(data) == game
+        assert "known_pc_bound" not in ser.game_to_json(builtin_gynin())
 
     def test_wrong_shape_rejected(self):
         data = ser.quasiprocess_to_json(bfw_process())
