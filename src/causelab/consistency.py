@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import lcm, prod
 from typing import Iterator, Sequence
 
 from ._lazy import np
@@ -41,7 +41,7 @@ SURVEY_WORK_CAP = 10**10
 # Gathered (candidate, choice, input) cells held at once by the survey.
 SURVEY_BATCH_ELEMENTS = 1 << 16
 # Cells (output choices x joint inputs) of the output-choice table: 8 bytes
-# each, and the vertex test and the PC LP walk every cell in Python.
+# each, and the PC LP walks every cell in Python.
 CHOICE_TABLE_CELL_CAP = 1 << 22
 
 
@@ -154,19 +154,25 @@ def is_logically_consistent(qp: QuasiProcess, cap: int = CANDIDATE_CAP) -> Consi
 
     On failure the certificate is the violating choice with the smallest total
     mass (ties broken by enumeration order), so a grandfather-style violation
-    (mass 0) is preferred over an over-counting one.
+    (mass 0) is preferred over an over-counting one.  Masses are sums of
+    integer numerators over the table's common denominator, gathered through
+    the output-choice table; they are int64 when no sum can overflow and
+    Python ints otherwise, so the test is exact.
     """
     sc = qp.scenario
     cells = _choice_input_to_output_tables(sc, cap) + np.arange(sc.n_inputs) * sc.n_outputs
-    worst: tuple[Fraction, int] | None = None
-    for c, row in enumerate(cells.tolist()):
-        mass = sum((qp.table[cell] for cell in row), Fraction(0))
-        if mass != 1 and (worst is None or mass < worst[0]):
-            worst = (mass, c)
-    if worst is None:
+    denom = lcm(*(v.denominator for v in qp.table))
+    nums = [v.numerator * (denom // v.denominator) for v in qp.table]
+    fits = max(map(abs, nums)) * sc.n_inputs < 2**63
+    masses = np.array(nums, dtype=np.int64 if fits else object)[cells].sum(axis=1)
+    bad = np.flatnonzero(masses != denom)
+    if not len(bad):
         return ConsistencyVerdict(True)
-    violation = next(itertools.islice(enumerate_output_choices(sc, cap), worst[1], None))
-    return ConsistencyVerdict(False, violation, worst[0])
+    c = bad[np.argmin(masses[bad])]  # the first smallest mass
+    alphabets = list(zip(sc.outputs, sc.inputs))
+    digits = np.unravel_index(c, [d_o**d_i for d_o, d_i in alphabets])  # per-party lex index
+    maps = tuple(tuple(_lex_maps(d_i, d_o)[m].tolist()) for m, (d_o, d_i) in zip(digits, alphabets))
+    return ConsistencyVerdict(False, OutputChoice(maps), Fraction(int(masses[c]), denom))
 
 
 def fixed_points(

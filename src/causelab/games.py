@@ -41,6 +41,7 @@ from .consistency import (
     _lex_maps,
     _survey_cached,
     is_logically_consistent,
+    output_choice_count,
 )
 from .errors import CapExceeded, InvalidTable, ScenarioMismatch, SearchSpaceTooLarge
 from .lp import LinearProgram, LpStatus, check_hull_lp_size, hull_membership, lp_solve
@@ -72,6 +73,9 @@ DC_SCORE_CELLS = 1 << 14
 # distinguished party's slices x joint settings) in one dc_bound; the scoring
 # kernel runs about 10^8 steps per second on one core.
 DC_SCORE_WORK_CAP = 2 * 10**9
+# Tableau coefficients (equality rows x (variables + artificials + rhs)) of the
+# canonical-PC LP; ternary GYNI's 729 x 811 (about 5.9e5) solves in about 10 s.
+PC_LP_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -770,11 +774,19 @@ def pc_bound_canonical(game: Game, choice_cap: int = CANDIDATE_CAP) -> PcBoundRe
     The feasible polytope is cut out by non-negativity, per-output
     normalization, and unit mass at every deterministic output choice; the
     result is an inner bound on the unrestricted value since interventions
-    stay fixed.
+    stay fixed.  The LP's tableau size is checked against ``PC_LP_CAP``
+    before any row is built.
     """
     sc = canonical_scenario(game.scenario)
     n_i, n_o = sc.n_inputs, sc.n_outputs
     n_vars = n_i * n_o
+    n_eq = output_choice_count(sc)
+    size = n_eq * (n_vars + n_eq + 1)
+    if size > PC_LP_CAP:
+        raise SearchSpaceTooLarge(
+            f"the canonical PC LP has {size} tableau coefficients ({n_eq} equality rows x "
+            f"({n_vars} variables + {n_eq} artificials + 1)), above the LP size cap {PC_LP_CAP}"
+        )
     objective = [ZERO] * n_vars
     for i_flat in range(n_i):
         for o_flat in range(n_o):
@@ -855,11 +867,13 @@ def _deterministic_correlation_vertices(
             shape = [1] * search.n
             shape[k] = search.H[k]
             joint = joint + x_k.reshape((x_k.shape[0], *shape, n_a))
-        behaviours = np.unique(np.concatenate([behaviours, joint.reshape(-1, n_a)]), axis=0)
+        behaviours = np.concatenate([behaviours, joint.reshape(-1, n_a)])
+        behaviours = behaviours[_unique_rows(_digit_words(behaviours, scenario.n_outcomes))[1]]
         check_hull_lp_size(len(behaviours), scenario.n_outcomes * n_a)
     onehot = np.zeros((len(behaviours), scenario.n_outcomes * n_a), dtype=np.int8)
     onehot[np.arange(len(behaviours))[:, None], behaviours * n_a + np.arange(n_a)] = 1
-    return tuple(map(tuple, np.unique(onehot, axis=0).tolist()))
+    # ascending rows: np.lexsort's primary key is its last
+    return tuple(map(tuple, onehot[np.lexsort(onehot.T[::-1])].tolist()))
 
 
 def classify(

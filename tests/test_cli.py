@@ -98,6 +98,34 @@ class TestBound:
             "rows x 65536 outcome maps x 16 slices x 16 settings), above the work cap 2000000000",
         }
 
+    def test_pc_lp_cap_exits_three(self, tmp_path):
+        # 4 settings and outcomes per party: 65,536 canonical output choices, so
+        # the PC LP would hold 65,536 rows of 65,793 integers and run out of
+        # memory; a child under a 2 GiB address-space limit must exit 3 at once
+        from fractions import Fraction
+
+        from causelab.games import Game
+
+        sc = make_scenario(2, 4, 4, 1, 1)
+        n_a = sc.n_settings
+        payoff = tuple(int(x % 4 == a % 4) for x in range(sc.n_outcomes) for a in range(n_a))
+        path = tmp_path / "wide.json"
+        ser.dump_json(str(path), ser.game_to_json(Game(sc, payoff, (Fraction(1, n_a),) * n_a)))
+        started = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-c", LIMITED_CLI, "bound", "--game", str(path), "--set", "pc"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert time.monotonic() - started < 5.0
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line) == {
+            "error": "SearchSpaceTooLarge",
+            "message": "the canonical PC LP has 4311810048 tableau coefficients (65536 equality "
+            "rows x (256 variables + 65536 artificials + 1)), above the LP size cap 1000000",
+        }
+
 
 class TestCheckConsistency:
     def test_grandfather_detected(self, grandfather_file):
@@ -305,6 +333,37 @@ class TestNumpyLoadsOnFirstUse:
 
     def test_dc_search_loads_numpy(self):
         assert self.probe("bound", "--game", "gynin", "--set", "dc") == (0, True)
+
+
+NUMPY_MA_PROBE = """
+import contextlib, io, sys
+from causelab import games
+from causelab.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    exec(sys.argv[1])
+print("numpy._core" in sys.modules, "numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "games.classify(games.gyni_perfect_correlation(), (games.builtin_gyni(),))",
+        "games.classify(games.pr_box_correlation(), (games.builtin_chsh(),))",
+        "games.dc_bound(games.builtin_gynin())",
+        "assert main(['hierarchy-demo']) == 0",
+    ],
+    ids=["classify-gyni-perfect", "classify-pr-box", "dc-bound-gynin", "hierarchy-demo"],
+)
+def test_numeric_requests_leave_numpy_ma_unloaded(statement):
+    # numpy.ma costs about a megabyte of resident memory and nothing here uses
+    # masked arrays; np.unique loads it when called without a return_* flag
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_PROBE, statement],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
 
 
 class TestEnumPf:

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from causelab import (
     OutputChoice,
@@ -18,7 +19,7 @@ from causelab import (
     mixture_process,
     quasiprocess_from_function,
 )
-from causelab.consistency import CANDIDATE_CAP, _survey_process_functions
+from causelab.consistency import CANDIDATE_CAP, ConsistencyVerdict, _survey_process_functions
 from causelab.errors import InvalidMixture, SearchSpaceTooLarge
 from causelab.games import bfw_process
 from causelab.scenario import flatten
@@ -81,6 +82,57 @@ class TestLogicalConsistency:
             for o_flat in range(4):
                 table[i_flat * 4 + o_flat] = weights[i_flat]
         assert is_logically_consistent(QuasiProcess(gyni_scenario, tuple(table))).consistent
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_a_fraction_sum_oracle(self, data):
+        """Mixtures of process functions (consistent) and random tables (mostly
+        not); the scale puts some denominators above 2^64, past int64 sums."""
+        sc = make_scenario(*data.draw(st.sampled_from(VERTEX_TEST_SCENARIOS)))
+        scale = data.draw(st.sampled_from([1, 3, 2**64 + 1]))
+
+        def split(counts):
+            # positive integer counts as exact weights over counts-sum x scale
+            parts = [Fraction(c, sum(counts) * scale) for c in counts[1:]]
+            return [1 - sum(parts)] + parts
+
+        if data.draw(st.booleans()):
+            functions = list(enumerate_process_functions(sc))
+            chosen = data.draw(st.lists(st.sampled_from(functions), min_size=1, max_size=4))
+            counts = data.draw(st.lists(st.integers(1, 4), min_size=len(chosen), max_size=len(chosen)))
+            qp = mixture_process(ProcessFunctionMixture(tuple(zip(chosen, split(counts)))))
+        else:
+            table = [Fraction(0)] * (sc.n_inputs * sc.n_outputs)
+            for o_flat in range(sc.n_outputs):
+                i_flats = data.draw(
+                    st.lists(st.integers(0, sc.n_inputs - 1), min_size=1, max_size=3, unique=True)
+                )
+                counts = data.draw(st.lists(st.integers(1, 3), min_size=len(i_flats), max_size=len(i_flats)))
+                for i_flat, weight in zip(i_flats, split(counts)):
+                    table[i_flat * sc.n_outputs + o_flat] = weight
+            qp = QuasiProcess(sc, tuple(table))
+        verdict = is_logically_consistent(qp)
+        event(f"consistent: {verdict.consistent}")
+        assert verdict == fraction_sum_vertex_test(qp)
+
+
+# (parties, settings, outcomes, inputs, outputs); only inputs and outputs matter here
+VERTEX_TEST_SCENARIOS = [(2, 1, 1, 2, 2), (3, 1, 1, 2, 2), (2, 1, 1, 3, 2)]
+
+
+def fraction_sum_vertex_test(qp) -> ConsistencyVerdict:
+    """Test-local oracle: the mass at every output choice as a sum of Fractions;
+    the certificate is the smallest mass, first in enumeration order."""
+    sc = qp.scenario
+    worst = None
+    for choice in enumerate_output_choices(sc):
+        mass = sum(
+            (qp.prob(i, choice.apply(i)) for i in itertools.product(*map(range, sc.inputs))),
+            Fraction(0),
+        )
+        if mass != 1 and (worst is None or mass < worst[1]):
+            worst = (choice, mass)
+    return ConsistencyVerdict(True) if worst is None else ConsistencyVerdict(False, *worst)
 
 
 class TestFixedPoints:

@@ -24,7 +24,7 @@ from causelab.consistency import (
     enumerate_process_functions,
     fixed_points,
 )
-from causelab.errors import CapExceeded, ScenarioMismatch
+from causelab.errors import CapExceeded, ScenarioMismatch, SearchSpaceTooLarge
 from causelab.games import (
     Game,
     _deterministic_correlation_vertices,
@@ -416,6 +416,30 @@ class TestPcBound:
 
     def test_ocb_pc_three_quarters(self):
         assert pc_bound_canonical(builtin_ocb()).value == Fraction(3, 4)
+
+    @pytest.mark.parametrize(
+        "cap, admitted", [(games_module.PC_LP_CAP, True), (729 * 811, True), (729 * 811 - 1, False)]
+    )
+    def test_lp_size_cap_is_read_before_the_rows(self, monkeypatch, cap, admitted):
+        # ternary GYNI: 729 equality rows x (81 variables + 729 artificials + 1)
+        sc = make_scenario(2, 3, 3, 3, 3)
+        n_a = sc.n_settings
+        payoff = [0] * (sc.n_outcomes * n_a)
+        for a_flat, a in enumerate(sc.setting_tuples()):
+            payoff[flatten((a[1], a[0]), sc.outcomes) * n_a + a_flat] = 1
+        game = Game(sc, tuple(payoff), (Fraction(1, n_a),) * n_a)
+
+        class Solved(Exception):
+            pass
+
+        def solve(lp):
+            assert (len(lp.eq), lp.n_vars) == (729, 81)
+            raise Solved
+
+        monkeypatch.setattr(games_module, "PC_LP_CAP", cap)
+        monkeypatch.setattr(games_module, "lp_solve", solve)
+        with pytest.raises(Solved if admitted else SearchSpaceTooLarge):
+            pc_bound_canonical.__wrapped__(game)
 
 
 class TestMonotonicity:
