@@ -2,7 +2,7 @@
 Command-line surface tying the library into reproducible experiments.
 
 Every subcommand writes one JSON report to stdout embedding the command, the
-effective configuration (seed, caps), and the library version, with
+effective configuration (format, caps), and the library version, with
 sorted keys so that identical configurations produce byte-identical reports.
 Timing goes to stderr.  Exit codes: 0 success, 1 property violated or an
 inconsistent object detected, 2 bad input (including an input path that
@@ -92,7 +92,6 @@ def _load_game(spec: str):
 
 def _config(args, extra: dict) -> dict:
     config = {
-        "seed": args.seed,
         "format": args.format,
         "caps": {"candidates": args.cap_candidates},
     }
@@ -423,7 +422,6 @@ def _cmd_hierarchy_demo(args) -> int:
 
 
 _GLOBAL_DEFAULTS = {
-    "seed": None,
     "format": "json",
     "cap_candidates": CANDIDATE_CAP,
 }
@@ -433,9 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     # Global options accept either position (before or after the subcommand);
     # SUPPRESS defaults keep the later parse from clobbering earlier values.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--seed", type=int, default=argparse.SUPPRESS, help="recorded in every report"
-    )
     common.add_argument("--format", choices=("json", "csv", "text"), default=argparse.SUPPRESS)
     common.add_argument("--cap-candidates", type=int, default=argparse.SUPPRESS)
 

@@ -63,6 +63,7 @@ ONE = Fraction(1)
 
 CAUSAL_STATE_CAP = 500_000
 DC_WORK_CAP = 20_000_000
+# Cells (grid points x joint settings) of one class grid; gynin's largest has 64 x 8.
 DC_GRID_CAP = 1 << 22
 DC_HGRID_CAP = 1 << 20
 # Stacked-table or grid cells one step of the DC search gathers at once.
@@ -413,19 +414,20 @@ class DcBoundResult:
 
 
 class _DcSearch:
-    """The DC search's tables for one scenario and its batched fixed-point-row kernel.
+    """The DC search's tables for one scenario and its distinct fixed-point rows.
 
     Built once per scenario (``_dc_search``) and shared by the process-function
-    bound and the vertex collection.  ``batches`` walks the reduced survey in
-    chunks of functions: for every function of a chunk at once it finds each
-    party's output-choice classes, groups the functions by their class-count
-    signature, and gathers each group's fixed-point rows with
+    bound and the vertex collection; the survey runs when first read, so the
+    caps on the outcome-map counts ``H`` and ``S`` come first.  ``rows`` walks
+    it once, in chunks of functions: for every function of a chunk at once it
+    finds each party's output-choice classes, groups the functions by their
+    class-count signature, and gathers each group's fixed-point rows with
     ``function_rows`` through one index array per signature.
     """
 
     def __init__(self, scenario: Scenario, candidate_cap: int):
         self.sc = scenario
-        self.survey = _survey_cached(scenario, True, candidate_cap)
+        self.candidate_cap = candidate_cap
         self.n = scenario.n_parties
         self.setting_tuples = list(scenario.setting_tuples())
         self.settings_of = np.array(self.setting_tuples, dtype=np.int64).reshape(-1, self.n)
@@ -445,6 +447,10 @@ class _DcSearch:
         self.H = [d_x**cells for d_x, cells in zip(scenario.outcomes, self.ncells)]
         self.S = [d_x**d_i for d_x, d_i in zip(scenario.outcomes, scenario.inputs)]
         self._layouts: dict[tuple[int, ...], tuple] = {}
+
+    @functools.cached_property
+    def survey(self):
+        return _survey_cached(self.sc, True, self.candidate_cap)
 
     def first_choices(self, fps: np.ndarray) -> list[np.ndarray]:
         """Per party k, the (m, F_k) mask of choices that come first in their class.
@@ -469,16 +475,17 @@ class _DcSearch:
         The grid has one axis per (party k, setting a_k) with ``counts[k]``
         classes; ``index[g, a_flat]`` is the flat position, in the
         (c_1, ..., c_n) class table, of the fixed point read at joint setting
-        a_flat on grid point g.  Built once per signature.
+        a_flat on grid point g.  Built once per signature, within ``DC_GRID_CAP``.
         """
         layout = self._layouts.get(counts)
         if layout is None:
             settings = self.sc.settings
             axes_cards = [counts[k] for k in range(self.n) for _ in range(settings[k])]
             n_grid = prod(axes_cards)
-            if n_grid > DC_GRID_CAP:
-                raise SearchSpaceTooLarge(
-                    f"{n_grid} intervention-output grids exceed cap {DC_GRID_CAP}"
+            if n_grid * self.n_a > DC_GRID_CAP:
+                raise CapExceeded(
+                    f"a class grid has {n_grid * self.n_a} cells ({n_grid} intervention "
+                    f"outputs x {self.n_a} settings), above the cap {DC_GRID_CAP}"
                 )
             axis_offset = [sum(settings[:k]) for k in range(self.n)]
             digits = np.indices(axes_cards, dtype=np.int64).reshape(len(axes_cards), n_grid)
@@ -519,36 +526,52 @@ class _DcSearch:
         g_first = np.sort(first)
         return J[g_first], g_first, (reps, [m, *axes_cards], [1 + off for off in axis_offset])
 
-    def batches(self):
-        """Every survey function's fixed-point rows, one bounded chunk of functions at a time.
+    @functools.cached_property
+    def rows(self):
+        """The survey's distinct fixed-point rows in first-occurrence order, with their origins.
 
-        Yields (rows, sites) per chunk: the rows of all its functions, and per
-        ``function_rows`` call, in row order, (survey indices, g_first, class
-        info).  There is one call per class-count signature, split so that
-        none gathers more than ``DC_BATCH_CELLS`` grid cells.
+        Rows are met in survey order, then in each function's row order.
+        Returns (rows, (survey, grid, site), sites): distinct row r first
+        occurs at survey function ``survey[r]``, at flat index ``grid[r]``
+        into the grid of the ``function_rows`` call whose class info is
+        ``sites[site[r]]``.  The survey is walked once, in chunks of about
+        ``DC_BATCH_CELLS`` grid cells.
         """
         step = max(1, DC_BATCH_CELLS // max(prod(self.F), max(self.F) ** 2))
+        rows = np.zeros((0, self.n_a), dtype=np.int64)
+        origin = np.zeros((3, 0), dtype=np.int64)
+        sites: list = []
         for lo in range(0, len(self.survey), step):
-            yield self._chunk_rows(lo, lo + step)
+            chunk_rows, chunk_origin = self._chunk_rows(lo, lo + step, sites)
+            # a chunk's calls come grouped by signature: sort by (survey index, grid index)
+            order = np.lexsort((chunk_origin[1], chunk_origin[0]))
+            rows = np.concatenate([rows, chunk_rows[order]])
+            origin = np.concatenate([origin, chunk_origin[:, order]], axis=1)
+            first = np.sort(_unique_rows(_digit_words(rows, self.sc.n_inputs))[1])
+            rows, origin = rows[first], origin[:, first]
+        return rows, tuple(origin), sites
 
-    def _chunk_rows(self, lo: int, hi: int):
+    def _chunk_rows(self, lo: int, hi: int, sites: list):
         # A call of its own, so each function_rows result is freed once concatenated.
         fps = np.array([fp for _, fp in self.survey[lo:hi]], dtype=np.int64).reshape(-1, *self.F)
         firsts = self.first_choices(fps)
         counts = np.stack([mask.sum(axis=1) for mask in firsts], axis=1)
         signatures, group_of = np.unique(counts, axis=0, return_inverse=True)
         group_of = group_of.reshape(-1)
-        parts, sites = [], []
+        parts, origins = [], []
         for g, signature in enumerate(signatures.tolist()):
             members = np.flatnonzero(group_of == g)
-            per = max(1, DC_BATCH_CELLS // self._layout(tuple(signature))[2].size)
+            n_grid = len(self._layout(tuple(signature))[2])
+            per = max(1, DC_BATCH_CELLS // (n_grid * self.n_a))
             for start in range(0, len(members), per):
                 part = members[start : start + per]
                 reps = [np.nonzero(mask[part])[1].reshape(len(part), -1) for mask in firsts]
                 rows, g_first, class_info = self.function_rows(fps[part], reps)
                 parts.append(rows)
-                sites.append((lo + part, g_first, class_info))
-        return np.concatenate(parts), sites
+                site = np.full_like(g_first, len(sites))
+                origins.append(np.stack([lo + part[g_first // n_grid], g_first, site]))
+                sites.append(class_info)
+        return np.concatenate(parts), np.concatenate(origins, axis=1)
 
 
 _dc_search = lru_cache(maxsize=16)(_DcSearch)
@@ -680,74 +703,46 @@ def dc_bound(game: Game, candidate_cap: int = CANDIDATE_CAP) -> DcBoundResult:
 
     Every process function of the reduced survey contributes its fixed-point
     rows (the unique fixed point at every joint setting, for every class of
-    deterministic output choices); ``_DcSearch.batches`` gathers them for a
-    whole chunk of functions at once.  Rows repeated within a chunk, or seen
-    in an earlier one, are scored once: one ``_hopt_values`` call per chunk
-    exhausts the outcome maps of the distinct new rows, with one party's maps
-    optimized per setting.  The witness is the first optimizer in (survey
-    order, row order).  Results are cached per game (all arguments are
-    immutable), since classification and the demo revisit the same bounds.
-    The grid caps are the module constants ``DC_GRID_CAP`` and
-    ``DC_HGRID_CAP``; ``DC_BATCH_CELLS`` bounds what one step gathers.  Before
-    a chunk is scored, the scoring work of every distinct row so far is
-    checked against ``DC_SCORE_WORK_CAP``.
+    deterministic output choices); the search's ``rows`` holds each distinct
+    row once, in first-occurrence order.  One ``_hopt_values`` pass exhausts
+    their outcome maps, with one party's maps optimized per setting, and the
+    witness is the first maximizing row.  Results are cached per game (all
+    arguments are immutable), since classification and the demo revisit the
+    same bounds.  The other parties' outcome maps are checked against
+    ``DC_HGRID_CAP`` from the scenario alone, before the survey runs; each
+    class grid's cells against ``DC_GRID_CAP`` as the rows are gathered; and
+    the scoring work, checked once before any row is scored, against
+    ``DC_SCORE_WORK_CAP``.
     """
     sc = game.scenario
     search = _dc_search(sc, candidate_cap)
-    if not search.survey:
-        raise AssertionError("constant maps always survive; empty survey is impossible")
-    G, scale = _scaled_weighted_payoff(game)
     last = max(range(search.n), key=lambda k: (search.H[k], k))
     others = [k for k in range(search.n) if k != last]
     grid = prod(search.H[k] for k in others)
     if grid > DC_HGRID_CAP:
-        raise SearchSpaceTooLarge("outcome-map grid exceeds its cap")
-    scored = 0  # distinct rows scored or about to be
-
-    # distinct rows scored so far, as sorted key words, and their values
-    known = _digit_words(np.zeros((0, search.n_a), dtype=np.int64), sc.n_inputs)
-    known_values = np.zeros(0, dtype=np.int64)
-    best = None  # (value, survey index, fixed-point row, its first grid index, class info)
-    for rows, sites in search.batches():
-        merged, first, inverse = _unique_rows(
-            np.concatenate([known, _digit_words(rows, sc.n_inputs)])
+        raise SearchSpaceTooLarge(
+            f"{grid} outcome maps of the other parties exceed cap {DC_HGRID_CAP}"
         )
-        values = np.empty(len(merged), dtype=np.int64)
-        values[inverse[: len(known)]] = known_values
-        fresh = np.flatnonzero(first >= len(known))
-        scored += len(fresh)
-        work = scored * grid * search.S[last] * search.n_a
-        if work > DC_SCORE_WORK_CAP:
-            raise SearchSpaceTooLarge(
-                f"DC scoring needs at least {work} steps ({scored} distinct fixed-point rows x "
-                f"{grid} outcome maps x {search.S[last]} slices x {search.n_a} settings), "
-                f"above the work cap {DC_SCORE_WORK_CAP}"
-            )
-        if len(fresh):
-            values[fresh] = _hopt_values(search, rows[first[fresh] - len(known)], G, last, others)
-        row_values = values[inverse[len(known) :]]
-        known, known_values = merged, values
-        end = 0
-        for members, g_first, class_info in sites:
-            start, end = end, end + len(g_first)
-            r = int(np.argmax(row_values[start:end]))
-            value = int(row_values[start + r])
-            index = int(members[g_first[r] // prod(class_info[1][1:])])
-            if best is None or value > best[0] or (value == best[0] and index < best[1]):
-                best = (value, index, rows[start + r], int(g_first[r]), class_info)
-
-    assert best is not None
-    best_value, index, row, grid_flat, class_info = best
-    detail_value, other_maps, last_slices = _hopt_detail(search, row, G, last, others)
-    if detail_value != best_value:  # pragma: no cover - batch and detail share the formulas
+    G, scale = _scaled_weighted_payoff(game)
+    rows, (survey, grid_flat, site), sites = search.rows
+    work = len(rows) * grid * search.S[last] * search.n_a
+    if work > DC_SCORE_WORK_CAP:
+        raise SearchSpaceTooLarge(
+            f"DC scoring needs {work} steps ({len(rows)} distinct fixed-point rows x "
+            f"{grid} outcome maps x {search.S[last]} slices x {search.n_a} settings), "
+            f"above the work cap {DC_SCORE_WORK_CAP}"
+        )
+    values = _hopt_values(search, rows, G, last, others)
+    r = int(np.argmax(values))
+    detail_value, other_maps, last_slices = _hopt_detail(search, rows[r], G, last, others)
+    if detail_value != values[r]:  # pragma: no cover - batch and detail share the formulas
         raise AssertionError("witness reconstruction disagrees with the search optimum")
     intervention = _decode_intervention(
-        search, grid_flat, class_info, other_maps, last, last_slices
+        search, int(grid_flat[r]), sites[site[r]], other_maps, last, last_slices
     )
-    witness = QuasiProcessFunction(sc, search.survey[index][0])
     return DcBoundResult(
-        value=Fraction(best_value, scale),
-        witness_function=witness,
+        value=Fraction(detail_value, scale),
+        witness_function=QuasiProcessFunction(sc, search.survey[survey[r]][0]),
         witness_intervention=intervention,
         functions_searched=len(search.survey),
     )
@@ -832,31 +827,33 @@ def _deterministic_correlation_vertices(
     """Deduplicated deterministic behaviours from (process function, intervention).
 
     These are the extreme points spanning the deterministic-consistency hull,
-    as 0/1 int rows in ascending order.  The fixed-point rows of every
-    function are deduplicated across the survey first; a behaviour is then
-    gathered as its joint outcome at every joint setting, one per (distinct
-    row, outcome-map family), from the search's own outcome-map tables.  The
-    gather stops with :class:`CapExceeded` as soon as the distinct behaviours
-    are too many for the hull LP (``lp.check_hull_lp_size``).
+    as 0/1 int rows in ascending order.  A behaviour is gathered as its joint
+    outcome at every joint setting, one per (distinct fixed-point row of the
+    DC search, outcome-map family), from the search's own outcome-map tables.
+    Each cap raises :class:`CapExceeded`: one row's gather size against
+    ``DC_WORK_CAP`` before the survey runs, the class grids against
+    ``DC_GRID_CAP`` during the walk, the exact gather size against
+    ``DC_WORK_CAP``, and the distinct behaviours as they grow against the
+    hull LP's size (``lp.check_hull_lp_size``).
     """
     search = _dc_search(scenario, candidate_cap)
     n_a = scenario.n_settings
-    raw_grid = prod(
-        len(search.choices[k]) ** scenario.settings[k] for k in range(search.n)
-    )
     h_grid = prod(search.H)
-    estimate = len(search.survey) * raw_grid * (h_grid + 1) * n_a
+    per_row = h_grid * n_a
+    if per_row > DC_WORK_CAP:
+        raise CapExceeded(
+            f"vertex enumeration needs {per_row} steps per distinct fixed-point row "
+            f"({h_grid} outcome-map families x {n_a} settings), above the work cap {DC_WORK_CAP}"
+        )
+    rows = search.rows[0]
+    estimate = len(rows) * per_row
     if estimate > DC_WORK_CAP:
         raise CapExceeded(
-            f"vertex enumeration needs about {estimate} steps, above the work cap {DC_WORK_CAP}"
+            f"vertex enumeration needs {estimate} steps ({len(rows)} distinct fixed-point rows x "
+            f"{h_grid} outcome-map families x {n_a} settings), above the work cap {DC_WORK_CAP}"
         )
-
-    rows = np.zeros((0, n_a), dtype=np.int64)  # distinct fixed-point rows of every function
-    for chunk_rows, _ in search.batches():
-        rows = np.concatenate([rows, chunk_rows])
-        rows = rows[_unique_rows(_digit_words(rows, scenario.n_inputs))[1]]
     behaviours = np.empty((0, n_a), dtype=np.int64)
-    step = max(1, DC_BATCH_CELLS // (h_grid * n_a))
+    step = max(1, DC_BATCH_CELLS // per_row)
     for start in range(0, len(rows), step):
         icomp = _input_components(search, rows[start : start + step])
         # joint[r, h_1, ..., h_n, a]: joint outcome of row r under outcome maps h at a
@@ -894,10 +891,11 @@ def classify(
       silent).  Membership is in the convex hull of deterministic behaviours,
       the polytope the bound computations optimize over.  "in" carries convex
       weights over the 0/1 vertex rows; "out" carries the hull LP's integer
-      Farkas functional and its separation from the vertices.  The vertex
-      work estimate is capped by the module constant ``DC_WORK_CAP``, and the
-      vertex gather stops once the hull LP would exceed ``lp.HULL_LP_CAP``
-      coefficients.
+      Farkas functional and its separation from the vertices.  The vertices
+      are gathered from the DC search's distinct fixed-point rows, which the
+      witness games' ``dc_bound`` reads too, so the survey is walked once per
+      scenario.  A gather over ``DC_WORK_CAP`` (per row, then exactly),
+      ``DC_GRID_CAP`` or ``lp.HULL_LP_CAP`` stops and reports "unknown".
     """
     for witness in witnesses:
         if (

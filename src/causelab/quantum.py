@@ -32,7 +32,7 @@ from math import prod
 from typing import Sequence
 
 from ._lazy import np
-from .errors import InvalidTable, NonDiagonal, ScenarioMismatch
+from .errors import InvalidTable, NonDiagonal, ScenarioMismatch, SearchSpaceTooLarge
 from .games import bfw_process
 from .scenario import (
     InterventionFamily,
@@ -43,6 +43,9 @@ from .scenario import (
 
 VALIDITY_ATOL = 1e-9
 DIAGONAL_ATOL = 1e-12
+# Normalization tuples x matrix entries one validity check may touch; the
+# tuple loop runs about 8e7 entries per second on one core.
+VALIDITY_WORK_CAP = 10**9
 
 OCB_DATA_RESOURCE = "ocb_process.json"
 OCB_DATA_SHA256 = "3440c3e5128dae57648a37c7cde9f8e34ded33ae04af950731e2b1f9d02784b4"
@@ -226,15 +229,25 @@ def _normalization_family(d_in: int, d_out: int) -> list[np.ndarray]:
 def is_valid_process_matrix(
     pm: ProcessMatrix, atol: float = VALIDITY_ATOL
 ) -> ProcessMatrixReport:
-    """Positivity plus unit trace against every tuple of trace-preserving maps."""
-    w = pm.matrix
-    herm_dev = float(np.max(np.abs(w - w.conj().T)))
-    min_eig = float(np.min(np.linalg.eigvalsh((w + w.conj().T) / 2)))
+    """Positivity plus unit trace against every tuple of trace-preserving maps.
 
+    The tuples times the matrix's entries are checked against
+    ``VALIDITY_WORK_CAP`` before any tuple is built.
+    """
     families = [
         _normalization_family(d_in, d_out)
         for d_in, d_out in zip(pm.scenario.inputs, pm.scenario.outputs)
     ]
+    tuples = prod(len(f) for f in families)
+    if tuples * pm.dim**2 > VALIDITY_WORK_CAP:
+        raise SearchSpaceTooLarge(
+            f"process-matrix validity needs {tuples * pm.dim**2} steps ({tuples} normalization "
+            f"tuples x {pm.dim}^2 entries), above the work cap {VALIDITY_WORK_CAP}"
+        )
+    w = pm.matrix
+    herm_dev = float(np.max(np.abs(w - w.conj().T)))
+    min_eig = float(np.min(np.linalg.eigvalsh((w + w.conj().T) / 2)))
+
     norm_dev = 0.0
     indices = [range(len(f)) for f in families]
     for combo in itertools.product(*indices):

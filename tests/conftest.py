@@ -1,3 +1,5 @@
+import os
+import pathlib
 import random
 from fractions import Fraction
 
@@ -12,6 +14,11 @@ from causelab import (
     make_scenario,
     quasiprocess_from_function,
 )
+
+# Tests start child interpreters (``python -m causelab``, ``python -c``); they
+# import causelab from this checkout too.
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

@@ -94,7 +94,7 @@ class TestBound:
         (line,) = err.splitlines()
         assert json.loads(line) == {
             "error": "SearchSpaceTooLarge",
-            "message": "DC scoring needs at least 11542724608 steps (688 distinct fixed-point "
+            "message": "DC scoring needs 11542724608 steps (688 distinct fixed-point "
             "rows x 65536 outcome maps x 16 slices x 16 settings), above the work cap 2000000000",
         }
 
@@ -509,9 +509,12 @@ class TestGlobalOptions:
             "error": "bad-input", "message": f"{flag} must be at least 1, got {value}"
         }
 
-    def test_seed_recorded(self):
-        proc = run_cli("--seed", "7", "bound", "--game", "gyni", "--set", "causal")
-        assert report(proc)["config"]["seed"] == 7
+    def test_seed_option_removed(self, capsys):
+        # nothing in causelab is random; reports no longer echo a seed
+        with pytest.raises(SystemExit) as exited:
+            main(["--seed", "7", "bound", "--game", "gyni", "--set", "causal"])
+        assert exited.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_text_format(self):
         proc = run_cli("--format", "text", "bound", "--game", "gyni", "--set", "causal")
@@ -523,22 +526,22 @@ class TestGoldenReports:
     """stdout of whole reports, pinned by SHA-256: a refactor keeps them byte-identical."""
 
     DIGESTS = [
-        ("bound --game gynin --set causal", "56cd8faabdcbd16bc32510bd2e17c79976ed4858d7853a1c0ffad35a36c6281e"),
-        ("bound --game gynin --set dc", "35211ac678da9542e4d511eff90983dcddef54424e707b1042d64174900aeb2a"),
-        ("bound --game gynin --set pc", "153f5ba5a838a08123d302cfdae1df917ba47f36c6d8c9c2a9a3572b025c4a7e"),
-        ("bound --game gyni --set causal", "e1252e217e828d4b495c5e4a41355cbe27d8fb44d6d15eaf397e4630c10c98c5"),
-        ("bound --game gyni --set dc", "3a4499a2826a927caa9a553457d538958113823d26d6125d8db272acd592e46c"),
-        ("bound --game gyni --set pc", "7c2806d7326bb477292667a4e4d2730693575502c4e907aff536af840e865c6d"),
-        ("bound --game ocb --set causal", "9245662e8f9c25e3bff5ac34057149dd8a05bce60522872156def300ca9a4f35"),
-        ("bound --game ocb --set dc", "a3b9af8afd54ab1ed123a3a35daf31d06e13eece758da93f8f4c39fca85825b4"),
-        ("bound --game ocb --set pc", "8ab4242db4f7490e6e1edea4af341514a288ac047c63e339d54fb3ee4dcdc399"),
-        ("bound --game chsh --set causal", "fd0e2dcc2f03f24e32000dfae478bf232ce7a308beb8118ac35abb8dd2087f66"),
-        ("bound --game chsh --set dc", "145c26b9dd01abef715ed4e401f8981eb3e5e59b75ad3300927b2ad19a3275bc"),
-        ("bound --game chsh --set pc", "f0dadca11f55d6184dde6ffc7a5323a1eb8e10133851c584d25051a7f4a56568"),
-        ("classify gynin-perfect.json --witness gynin", "beba68488e779c5c7bb4d94ed9fdf03dffe8928ed04bf6dec5a3c2b73c315624"),
-        ("classify gyni-perfect.json --witness gyni", "6ba576512fa02d7d59cf9bc887e6c8c7ffb4e260f1fcea37770a41ca6870efb1"),
-        ("classify pr-box.json --witness chsh", "231ae74a80a2d55701419b6f289156411bd673e1082f8e2714dd5441160def5f"),
-        ("hierarchy-demo", "6cbbccbd1f100bf3131f93b2e81fc3aea245eb73e2a4ed6c38e96b160ea268a6"),
+        ("bound --game gynin --set causal", "b59710f70e5931500ed3b4e3adc6f26bec22cf695eb2c4a6b1952ca5d4a54860"),
+        ("bound --game gynin --set dc", "363a3f56150f66be1dc798f6dc5b39405817f1f7a6c30e7f71d6641b882b11de"),
+        ("bound --game gynin --set pc", "857b8f8e37e32e4f085a640e39693ceeb80a9398e492a56d963fc61012fc1d6f"),
+        ("bound --game gyni --set causal", "bf1e9d30d43133a3490f7fdbba6c691f9e6c6c058d60abe080cb17862cbe9335"),
+        ("bound --game gyni --set dc", "e5939a60d80e622d3eeb62d9a649870fba9f2546ccd1f97e42a018910b8ce8a1"),
+        ("bound --game gyni --set pc", "b0fff57fd4cf7ac15591674729158a3d13e7c4268b779437f351b40e4201d150"),
+        ("bound --game ocb --set causal", "8a2777f58cddcedc767412b53d5a1116bcfbad91dd4f67febe9470827e09cf6b"),
+        ("bound --game ocb --set dc", "ae1d1f101a624ba3b71a6a22eb243af8e6d598ed9c59d4d5d2f76f14328cf8c0"),
+        ("bound --game ocb --set pc", "5ed341c2afa31f59890ce89f36519aabeaa39a37826b4a989af84496a14f6480"),
+        ("bound --game chsh --set causal", "0c8424cb7718e723d0072cf5342302c8a1f03bb68a7b58f0d7704869bc2b0b49"),
+        ("bound --game chsh --set dc", "e2f129526e35f5f8d02729053a912e2a01ed199db195d0916b9141d4b7f2245f"),
+        ("bound --game chsh --set pc", "14809fc11cc7dfbe34937f85aff3a3835681902f557586753c7d8778dc657a52"),
+        ("classify gynin-perfect.json --witness gynin", "b0528a051227cc605b472a66342cb9541f456462e1217286c415175b4c17b309"),
+        ("classify gyni-perfect.json --witness gyni", "50ee59b69e4b68acdcec1a6b55f07ad445b17b31883a3f9e6f5d397f454ca29c"),
+        ("classify pr-box.json --witness chsh", "3443ea228568988b1e14d97dd50772504c5f8e62a0f1143548c7b44c12fa059c"),
+        ("hierarchy-demo", "0e2cd7d95b82294592af09e47d717ece91ed3a1b4b2b69f6d069fa1be259bc4f"),
     ]
 
     @pytest.mark.parametrize("command, digest", DIGESTS, ids=[c for c, _ in DIGESTS])

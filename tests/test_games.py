@@ -8,6 +8,7 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
@@ -21,6 +22,7 @@ from causelab import games as games_module
 from causelab.consistency import (
     CANDIDATE_CAP,
     OutputChoice,
+    _survey_cached,
     enumerate_process_functions,
     fixed_points,
 )
@@ -249,6 +251,31 @@ class TestCausalBound:
 VERTEX_SET_CASES = [((1, 2, 2, 2, 2), 4), ((2, 2, 2, 1, 1), 16), ((2, 2, 2, 2, 2), 112)]
 
 
+@functools.cache
+def first_occurrence_scan(cards):
+    """Distinct fixed-point rows by brute force, mapped to the survey index of
+    their first occurrence: every survey function in order, every output choice
+    of every party at every setting in lex order, with no choice classes."""
+    sc = make_scenario(*cards)
+    n = sc.n_parties
+    F = [d_o**d_i for d_i, d_o in zip(sc.inputs, sc.outputs)]
+    grid = np.indices([F[k] for k in range(n) for _ in range(sc.settings[k])])
+    grid = grid.reshape(grid.shape[0], -1)
+    offset = [sum(sc.settings[:k]) for k in range(n)]
+    seen = {}
+    for index, (_, fp) in enumerate(_survey_cached(sc, True, CANDIDATE_CAP)):
+        table = np.asarray(fp).reshape(F)
+        rows = np.stack(
+            [table[tuple(grid[offset[k] + a[k]] for k in range(n))] for a in sc.setting_tuples()],
+            axis=1,
+        )
+        # each function's distinct rows in grid order, keyed as base-n_inputs numbers
+        _, first = np.unique(rows @ sc.n_inputs ** np.arange(sc.n_settings), return_index=True)
+        for row in rows[np.sort(first)].tolist():
+            seen.setdefault(tuple(row), index)
+    return seen
+
+
 @functools.lru_cache(maxsize=None)
 def cached_vertex_oracle(cards):
     return deterministic_behaviours_oracle(make_scenario(*cards))
@@ -364,15 +391,66 @@ class TestDcBound:
         # the shifted gynin has a negative value, so no row may score a default 0
         gynin = builtin_gynin()
         shifted = Game(gynin.scenario, tuple(v - 1 for v in gynin.payoff), gynin.setting_dist)
-        search_games = (gynin, shifted, builtin_ocb())
+        search_games = (gynin, shifted, builtin_ocb(), builtin_gyni())
         gyni_sc = make_scenario(2, 2, 2, 2, 2)
         found = [dc_bound.__wrapped__(g) for g in search_games]
         assert found[1].value == Fraction(-3, 8)
         vertex_set = _deterministic_correlation_vertices.__wrapped__
         vertices = vertex_set(gyni_sc, CANDIDATE_CAP)
+        # uncached searches, so every call below walks the survey at this batch size
         monkeypatch.setattr(games_module, "DC_BATCH_CELLS", cells)
+        monkeypatch.setattr(games_module, "_dc_search", games_module._DcSearch)
         assert [dc_bound.__wrapped__(g) for g in search_games] == found
         assert vertex_set(gyni_sc, CANDIDATE_CAP) == vertices
+
+    @pytest.mark.parametrize("cards", [(2, 2, 2, 2, 2), (3, 2, 2, 2, 2)])
+    @pytest.mark.parametrize("cells", [64, 4096])
+    def test_rows_in_first_occurrence_order(self, monkeypatch, cells, cards):
+        # 64 cells put one function in each chunk, so rows are merged across chunks
+        monkeypatch.setattr(games_module, "DC_BATCH_CELLS", cells)
+        search = games_module._DcSearch(make_scenario(*cards), CANDIDATE_CAP)
+        rows, (survey, grid, site), sites = search.rows
+        expected = first_occurrence_scan(cards)
+        assert [tuple(row) for row in rows.tolist()] == list(expected)
+        assert survey.tolist() == list(expected.values())
+        # each origin's class grid point reads its row off that function's table
+        for r in range(len(rows)):
+            reps, axes_cards, axis_offset = sites[site[r]]
+            digits = np.unravel_index(grid[r], axes_cards)
+            table = np.asarray(search.survey[survey[r]][1]).reshape(search.F)
+            for a_flat, a in enumerate(search.setting_tuples):
+                choice = tuple(
+                    reps[k][digits[0], digits[axis_offset[k] + a[k]]] for k in range(search.n)
+                )
+                assert table[choice] == rows[r, a_flat]
+
+    def test_outcome_map_cap_is_read_before_the_survey(self, monkeypatch):
+        # 4 settings and 4-dimensional inputs: each party has 2^16 outcome maps,
+        # and the two parties enumerated in full span 2^32
+        def no_survey(*args):
+            raise AssertionError("the survey ran")
+
+        monkeypatch.setattr(games_module, "_survey_cached", no_survey)
+        sc = make_scenario(3, 4, 2, 4, 2)
+        n_a = sc.n_settings
+        game = Game(sc, (0,) * (sc.n_outcomes * n_a), (Fraction(1, n_a),) * n_a)
+        with pytest.raises(SearchSpaceTooLarge) as refused:
+            dc_bound.__wrapped__(game)
+        assert str(refused.value) == "4294967296 outcome maps of the other parties exceed cap 1048576"
+
+    def test_class_grid_cap(self, monkeypatch):
+        # gynin's largest class grids have 64 points (class counts 4, 2 and 1 over
+        # two settings each) at 8 joint settings; a fresh search meets the cap as
+        # it gathers rows
+        monkeypatch.setattr(games_module, "DC_GRID_CAP", 511)
+        monkeypatch.setattr(games_module, "_dc_search", games_module._DcSearch)
+        with pytest.raises(CapExceeded) as refused:
+            dc_bound.__wrapped__(builtin_gynin())
+        assert str(refused.value) == (
+            "a class grid has 512 cells (64 intervention outputs x 8 settings), above the cap 511"
+        )
+        monkeypatch.setattr(games_module, "DC_GRID_CAP", 512)
+        assert dc_bound.__wrapped__(builtin_gynin()).value == Fraction(5, 8)
 
     def test_gynin_invariant_under_cyclic_relabeling(self):
         base = builtin_gynin()
@@ -594,11 +672,48 @@ class TestClassify:
         assert vertices == deterministic_behaviours_oracle(sc)
 
     def test_work_cap_downgrades_to_unknown(self):
+        # the exact gather size: every distinct fixed-point row of the survey
+        # under every outcome-map family at every joint setting
         dc = classify(gynin_perfect_correlation()).dc
         assert dc.status == "unknown"
         assert dc.certificate == {
-            "downgraded": "vertex enumeration needs about 99882369024 steps, "
-            "above the work cap 20000000"
+            "downgraded": "vertex enumeration needs 24379392 steps (744 distinct fixed-point "
+            "rows x 4096 outcome-map families x 8 settings), above the work cap 20000000"
+        }
+
+    def test_work_cap_of_one_row_is_read_before_the_survey(self, monkeypatch):
+        # 20 binary settings per party: one fixed-point row alone has 2^80
+        # outcome-map families, and a one-way-signalling function's class grid
+        # has 2^20 points at 400 joint settings
+        def no_survey(*args):
+            raise AssertionError("the survey ran")
+
+        monkeypatch.setattr(games_module, "_survey_cached", no_survey)
+        started = time.monotonic()
+        with pytest.raises(CapExceeded) as refused:
+            _deterministic_correlation_vertices.__wrapped__(
+                make_scenario(2, 20, 2, 2, 2), CANDIDATE_CAP
+            )
+        assert time.monotonic() - started < 1.0
+        assert str(refused.value) == (
+            f"vertex enumeration needs {2**80 * 400} steps per distinct fixed-point row "
+            f"({2**80} outcome-map families x 400 settings), above the work cap 20000000"
+        )
+
+    def test_class_grid_cap_downgrades_to_unknown(self, monkeypatch):
+        # fresh caches, so the vertex gather walks the survey and meets the cap
+        monkeypatch.setattr(games_module, "DC_GRID_CAP", 511)
+        monkeypatch.setattr(games_module, "_dc_search", games_module._DcSearch)
+        monkeypatch.setattr(
+            games_module,
+            "_deterministic_correlation_vertices",
+            _deterministic_correlation_vertices.__wrapped__,
+        )
+        dc = classify(gynin_perfect_correlation()).dc
+        assert dc.status == "unknown"
+        assert dc.certificate == {
+            "downgraded": "a class grid has 512 cells (64 intervention outputs x 8 settings), "
+            "above the cap 511"
         }
 
     def test_hull_lp_cap_downgrades_to_unknown(self):
@@ -611,6 +726,32 @@ class TestClassify:
             "downgraded": "the hull LP has at least 111104 coefficients (512 vertices x 217 rows), "
             "above the LP size cap 20000"
         }
+
+    def test_classify_reads_the_rows_of_the_witness_search(self, monkeypatch):
+        # fresh caches, so the search walks the survey here; the vertex gather of
+        # the classify that follows reads the rows the bound already gathered
+        fresh = functools.lru_cache(maxsize=16)
+        monkeypatch.setattr(games_module, "_dc_search", fresh(games_module._DcSearch))
+        monkeypatch.setattr(games_module, "dc_bound", fresh(dc_bound.__wrapped__))
+        monkeypatch.setattr(
+            games_module,
+            "_deterministic_correlation_vertices",
+            fresh(_deterministic_correlation_vertices.__wrapped__),
+        )
+        calls = []
+        function_rows = games_module._DcSearch.function_rows
+
+        def counted(self, *args):
+            calls.append(args)
+            return function_rows(self, *args)
+
+        monkeypatch.setattr(games_module._DcSearch, "function_rows", counted)
+        games_module.dc_bound(builtin_gyni())
+        walked = len(calls)
+        assert walked > 0
+        dc = classify(gyni_perfect_correlation(), (builtin_gyni(),)).dc
+        assert dc.status == "out"
+        assert len(calls) == walked
 
     def test_vertex_cap_downgrades_to_unknown(self, monkeypatch):
         # 16 coordinates, so 17 coefficients per vertex: a cap of 170 allows 10 of

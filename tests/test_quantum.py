@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,8 @@ from causelab import (
     make_scenario,
     mixture_process,
 )
-from causelab.errors import InvalidTable, NonDiagonal, ScenarioMismatch
+from causelab import quantum as quantum_module
+from causelab.errors import InvalidTable, NonDiagonal, ScenarioMismatch, SearchSpaceTooLarge
 from causelab.games import bfw_process, builtin_gynin, builtin_ocb, score
 from causelab.quantum import (
     InstrumentCJ,
@@ -124,6 +126,29 @@ class TestProcessMatrixValidity:
         atol = 1e-9
         assert (base.hermiticity_deviation <= atol) == (moved.hermiticity_deviation <= atol)
         assert (base.min_eigenvalue >= -atol) == (moved.min_eigenvalue >= -atol)
+
+    def test_work_cap_is_read_before_any_tuple(self):
+        # three qutrit parties: 73^3 normalization tuples, each a Kronecker
+        # product on the 729-dimensional space, would take about an hour
+        pm = ProcessMatrix(make_scenario(3, 1, 1, 3, 3), np.eye(729) / 27)
+        started = time.monotonic()
+        with pytest.raises(SearchSpaceTooLarge) as refused:
+            is_valid_process_matrix(pm)
+        assert time.monotonic() - started < 1.0
+        assert str(refused.value) == (
+            "process-matrix validity needs 206739583497 steps (389017 normalization tuples "
+            "x 729^2 entries), above the work cap 1000000000"
+        )
+
+    def test_work_cap_admits_three_qubit_parties(self, monkeypatch):
+        # 13^3 tuples on a 64-dimensional matrix: the bfw process passes at a cap of
+        # exactly its work and is refused one below
+        pm, _ = builtin_bfw()
+        monkeypatch.setattr(quantum_module, "VALIDITY_WORK_CAP", 2197 * 64**2)
+        assert is_valid_process_matrix(pm).valid
+        monkeypatch.setattr(quantum_module, "VALIDITY_WORK_CAP", 2197 * 64**2 - 1)
+        with pytest.raises(SearchSpaceTooLarge):
+            is_valid_process_matrix(pm)
 
     def test_diagonal_validity_matches_table_consistency(self, gyni_scenario):
         from causelab import is_logically_consistent
