@@ -13,7 +13,10 @@ numeric modules take ``np`` from ``causelab._lazy``, which loads numpy on the
 first numeric call.  Causal bounds, rejected inputs and surveys that a cap
 stops before they start exit without it.  The output-choice table (behind the
 process-function survey, the consistency vertex test and the PC LP rows), the
-DC search and every process-matrix command load it.
+DC search and every process-matrix command load it.  The import generates no
+code either: the value types are ``causelab._record.Record`` subclasses, so the
+standard library's code-generation and introspection modules (``inspect``,
+``ast``, ``dis``, ``tokenize``) stay unloaded.
 """
 
 from __future__ import annotations

@@ -24,13 +24,13 @@ therefore complete; the unreduced mode remains available for cross-checks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
 from typing import Iterator, Sequence
 
 from ._lazy import np
+from ._record import Record
 from .errors import InvalidMixture, SearchSpaceTooLarge
 from .scenario import QuasiProcess, Scenario, flatten, iter_tuples
 
@@ -45,8 +45,7 @@ SURVEY_BATCH_ELEMENTS = 1 << 16
 CHOICE_TABLE_CELL_CAP = 1 << 22
 
 
-@dataclass(frozen=True)
-class OutputChoice:
+class OutputChoice(Record):
     """One deterministic output map per party: maps[k][i_k] = o_k."""
 
     maps: tuple[tuple[int, ...], ...]
@@ -55,8 +54,7 @@ class OutputChoice:
         return tuple(m[v] for m, v in zip(self.maps, i))
 
 
-@dataclass(frozen=True)
-class QuasiProcessFunction:
+class QuasiProcessFunction(Record):
     """Deterministic quasi-process: maps[k][flat(o)] = input delivered to party k."""
 
     scenario: Scenario
@@ -142,8 +140,7 @@ def _choice_input_to_output_tables(scenario: Scenario, cap: int) -> np.ndarray:
     return table.reshape(count, scenario.n_inputs)
 
 
-@dataclass(frozen=True)
-class ConsistencyVerdict:
+class ConsistencyVerdict(Record):
     consistent: bool
     violation: OutputChoice | None = None
     violation_mass: Fraction | None = None
@@ -186,8 +183,7 @@ def fixed_points(
     return tuple(hits)
 
 
-@dataclass(frozen=True)
-class FunctionVerdict:
+class FunctionVerdict(Record):
     is_process_function: bool
     violation: OutputChoice | None = None
     fixed_point_count: int | None = None
@@ -317,8 +313,7 @@ def quasiprocess_from_function(omega: QuasiProcessFunction) -> QuasiProcess:
     return QuasiProcess(sc, tuple(table))
 
 
-@dataclass(frozen=True)
-class ProcessFunctionMixture:
+class ProcessFunctionMixture(Record):
     """Convex mixture of process functions; the deterministic-extrema polytope."""
 
     components: tuple[tuple[QuasiProcessFunction, Fraction], ...]

@@ -27,13 +27,13 @@ exact as well.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
 from typing import Sequence
 
 from ._lazy import np
+from ._record import Record
 from .consistency import (
     CANDIDATE_CAP,
     QuasiProcessFunction,
@@ -79,8 +79,7 @@ DC_SCORE_WORK_CAP = 2 * 10**9
 PC_LP_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class Game:
+class Game(Record):
     """Payoff table over (x, a) and a distribution over joint settings.
 
     ``known_pc_bound`` optionally records an externally established upper
@@ -269,8 +268,7 @@ def pr_box_correlation() -> Correlation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CausalBoundResult:
+class CausalBoundResult(Record):
     value: Fraction
     strategy: dict
 
@@ -405,8 +403,7 @@ def _unique_rows(keys: np.ndarray):
     return unique, first, inverse.reshape(-1)
 
 
-@dataclass(frozen=True)
-class DcBoundResult:
+class DcBoundResult(Record):
     value: Fraction
     witness_function: QuasiProcessFunction
     witness_intervention: DeterministicIntervention
@@ -753,8 +750,7 @@ def dc_bound(game: Game, candidate_cap: int = CANDIDATE_CAP) -> DcBoundResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PcBoundResult:
+class PcBoundResult(Record):
     value: Fraction
     process: QuasiProcess
 
@@ -807,14 +803,12 @@ def pc_bound_canonical(game: Game, choice_cap: int = CANDIDATE_CAP) -> PcBoundRe
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SetVerdict:
+class SetVerdict(Record):
     status: str  # "in" | "out" | "unknown"
     certificate: dict
 
 
-@dataclass(frozen=True)
-class ClassLabel:
+class ClassLabel(Record):
     qc: SetVerdict
     pc: SetVerdict
     dc: SetVerdict

@@ -21,11 +21,11 @@ y . b > 0, read off the final phase-1 tableau.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
+from ._record import Record
 from .errors import CapExceeded, InvalidTable
 
 # Coefficients (vertices x (dimension + 1)) of the hull feasibility LP; the
@@ -41,8 +41,7 @@ def _rows(raw: Sequence[tuple[Sequence, object]]) -> tuple[Row, ...]:
     )
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+class LinearProgram(Record):
     """max/min of objective . x subject to eq rows, le rows, and x >= 0."""
 
     objective: tuple[Fraction, ...]
@@ -70,8 +69,7 @@ class LpStatus(enum.Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class LpSolution:
+class LpSolution(Record):
     status: LpStatus
     value: Fraction | None = None
     x: tuple[Fraction, ...] | None = None
@@ -235,8 +233,7 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     return LpSolution(LpStatus.OPTIMAL, value, tuple(x))
 
 
-@dataclass(frozen=True)
-class HullResult:
+class HullResult(Record):
     inside: bool
     weights: tuple[Fraction, ...] | None = None
     functional: tuple[Fraction, ...] | None = None  # integer Farkas functional

@@ -26,12 +26,12 @@ from __future__ import annotations
 import cmath
 import itertools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Sequence
 
 from ._lazy import np
+from ._record import Record
 from .errors import InvalidTable, NonDiagonal, ScenarioMismatch, SearchSpaceTooLarge
 from .games import bfw_process
 from .scenario import (
@@ -90,8 +90,7 @@ def cj_from_kraus(kraus: Sequence[np.ndarray], d_in: int, d_out: int) -> np.ndar
     return total
 
 
-@dataclass(frozen=True, eq=False)
-class InstrumentCJ:
+class InstrumentCJ(Record, eq=False):
     """One party's local operations: a CJ operator per (setting, outcome)."""
 
     d_in: int
@@ -117,8 +116,7 @@ class InstrumentCJ:
         return len(self.operators[0])
 
 
-@dataclass(frozen=True)
-class InstrumentReport:
+class InstrumentReport(Record):
     valid: bool
     min_eigenvalue: float
     marginal_deviation: float
@@ -149,8 +147,7 @@ def is_valid_instrument(instr: InstrumentCJ, atol: float = VALIDITY_ATOL) -> Ins
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ProcessMatrix:
+class ProcessMatrix(Record, eq=False):
     """Environment operator on the tensor product of all in/out spaces."""
 
     scenario: Scenario
@@ -165,8 +162,7 @@ class ProcessMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class ProcessMatrixReport:
+class ProcessMatrixReport(Record):
     valid: bool
     hermiticity_deviation: float
     min_eigenvalue: float
@@ -264,8 +260,7 @@ def is_valid_process_matrix(
     )
 
 
-@dataclass(frozen=True)
-class NumericCorrelation:
+class NumericCorrelation(Record):
     """Float-valued behaviour from the trace rule; raw, unclipped entries."""
 
     scenario: Scenario

@@ -20,11 +20,11 @@ function, so concurrent evaluation needs no locking.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Iterator, Sequence
 
+from ._record import Record
 from .errors import (
     InvalidScenario,
     InvalidTable,
@@ -65,8 +65,7 @@ def iter_tuples(cards: Sequence[int]) -> Iterator[tuple[int, ...]]:
     return itertools.product(*(range(card) for card in cards))
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """Party count plus per-party setting/outcome/input/output alphabet sizes."""
 
     settings: tuple[int, ...]
@@ -181,8 +180,7 @@ def _as_fraction_table(table: Sequence) -> tuple[Fraction, ...]:
     return tuple(Fraction(entry) for entry in table)
 
 
-@dataclass(frozen=True)
-class Correlation:
+class Correlation(Record):
     """Observed behaviour p(x|a), exact rational, normalized per joint setting."""
 
     scenario: Scenario
@@ -207,8 +205,7 @@ class Correlation:
         return self.table[flatten(x, sc.outcomes) * sc.n_settings + flatten(a, sc.settings)]
 
 
-@dataclass(frozen=True)
-class QuasiProcess:
+class QuasiProcess(Record):
     """Environment behaviour p(i|o): an arbitrary conditional distribution."""
 
     scenario: Scenario
@@ -228,8 +225,7 @@ class QuasiProcess:
         return self.table[i_flat * self.scenario.n_outputs + o_flat]
 
 
-@dataclass(frozen=True)
-class InterventionFamily:
+class InterventionFamily(Record):
     """Per-party local operations p(x_k, o_k | a_k, i_k), exact rationals.
 
     Party k's table flattens rows by (x_k, o_k) and columns by (a_k, i_k):
@@ -269,8 +265,7 @@ class InterventionFamily:
         return self.tables[k][row * (sc.settings[k] * sc.inputs[k]) + col]
 
 
-@dataclass(frozen=True)
-class DeterministicIntervention:
+class DeterministicIntervention(Record):
     """Deterministic local operations: o_k = g_k(a_k, i_k) and x_k = h_k(a_k, i_k).
 
     ``output_maps[k][a][i]`` is the output sent, ``outcome_maps[k][a][i]`` the
@@ -296,8 +291,7 @@ class DeterministicIntervention:
         return InterventionFamily(scenario, tuple(tables))
 
 
-@dataclass(frozen=True)
-class EvaluatedCorrelation:
+class EvaluatedCorrelation(Record):
     """Raw output of the single-round evaluator, before normalization checks.
 
     Quasi-processes that are not logically consistent produce sub- or
@@ -401,8 +395,7 @@ def universal_realization(corr: Correlation) -> tuple[QuasiProcess, Intervention
     return process, canonical_interventions(enlarged)
 
 
-@dataclass(frozen=True)
-class CorrelationValidation:
+class CorrelationValidation(Record):
     """Report-style result of checking non-negativity and normalization."""
 
     negative_entries: tuple[tuple[int, int, Fraction], ...]  # (x_flat, a_flat, value)

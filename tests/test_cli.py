@@ -275,6 +275,18 @@ class TestBadInput:
         assert json.loads(line)["error"] == "IsADirectoryError"
 
 
+# Commands that reach no array: a causal bound, a rejected game name, and a
+# survey that its work cap stops before it starts.
+LEAN_COMMANDS = pytest.mark.parametrize(
+    "args, code",
+    [
+        (("bound", "--game", "chsh", "--set", "causal"), 0),
+        (("bound", "--game", "no-such-game", "--set", "dc"), 2),
+        (("enum-pf", "--parties", "4", "--alphabet", "2", "--reduced"), 3),
+    ],
+    ids=["causal-bound", "unknown-game", "four-party-cap"],
+)
+
 NUMPY_PROBE = """
 import contextlib, io, sys
 from causelab.cli import main
@@ -319,20 +331,46 @@ class TestNumpyLoadsOnFirstUse:
             path.write_text(document if isinstance(document, str) else json.dumps(document))
         assert self.probe(command, path) == (2, False)
 
-    @pytest.mark.parametrize(
-        "args, code",
-        [
-            (("bound", "--game", "chsh", "--set", "causal"), 0),
-            (("bound", "--game", "no-such-game", "--set", "dc"), 2),
-            (("enum-pf", "--parties", "4", "--alphabet", "2", "--reduced"), 3),
-        ],
-        ids=["causal-bound", "unknown-game", "four-party-cap"],
-    )
+    @LEAN_COMMANDS
     def test_lean_command(self, args, code):
         assert self.probe(*args) == (code, False)
 
     def test_dc_search_loads_numpy(self):
         assert self.probe("bound", "--game", "gynin", "--set", "dc") == (0, True)
+
+
+CODEGEN_PROBE = """
+import contextlib, io, json, sys
+from causelab.cli import main
+code = None
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(sys.argv[1:])
+loaded = {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(sys.modules)
+print(json.dumps([code, sorted(loaded)]))
+"""
+
+
+class TestImportGeneratesNoCode:
+    """Import and the lean commands load none of the stdlib's code-generation
+    and introspection modules.  numpy imports ``inspect`` itself, so commands
+    that reach an array are not held to this."""
+
+    @staticmethod
+    def probe(*args):
+        proc = subprocess.run(
+            [sys.executable, "-c", CODEGEN_PROBE, *args],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_import(self):
+        assert self.probe() == [None, []]
+
+    @LEAN_COMMANDS
+    def test_lean_command(self, args, code):
+        assert self.probe(*args) == [code, []]
 
 
 NUMPY_MA_PROBE = """
@@ -413,14 +451,16 @@ class TestClassify:
     def test_known_pc_bound_witness_puts_the_point_out_of_pc(self, tmp_path, capsys):
         # the canonical realization of gyni-perfect is inconsistent, so PC is
         # "unknown" until a witness game carries an unrestricted bound it beats
-        import dataclasses
         from fractions import Fraction
 
-        from causelab.games import builtin_gyni
+        from causelab.games import Game, builtin_gyni
 
         point, game = tmp_path / "gyni-perfect.json", tmp_path / "gyni-pc.json"
         ser.dump_json(str(point), ser.correlation_to_json(gyni_perfect_correlation()))
-        witness = dataclasses.replace(builtin_gyni(), known_pc_bound=Fraction(1, 2))
+        gyni = builtin_gyni()
+        witness = Game(
+            gyni.scenario, gyni.payoff, gyni.setting_dist, gyni.name, known_pc_bound=Fraction(1, 2)
+        )
         ser.dump_json(str(game), ser.game_to_json(witness))
         assert main(["classify", str(point)]) == 0
         assert json.loads(capsys.readouterr().out)["result"]["pc"]["status"] == "unknown"

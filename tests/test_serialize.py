@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,7 +6,7 @@ import pytest
 
 from causelab import QuasiProcessFunction, canonical_interventions, make_scenario
 from causelab.errors import InvalidTable
-from causelab.games import bfw_process, builtin_gynin, builtin_ocb
+from causelab.games import Game, bfw_process, builtin_gynin, builtin_ocb
 from causelab.quantum import builtin_bfw, builtin_ocb as builtin_ocb_process
 from causelab import serialize as ser
 
@@ -70,7 +69,10 @@ class TestTables:
         assert ser.game_from_json(ser.game_to_json(game)) == game
 
     def test_known_pc_bound_round_trip(self):
-        game = dataclasses.replace(builtin_gynin(), known_pc_bound=Fraction(3, 4))
+        gynin = builtin_gynin()
+        game = Game(
+            gynin.scenario, gynin.payoff, gynin.setting_dist, gynin.name, known_pc_bound=Fraction(3, 4)
+        )
         data = ser.game_to_json(game)
         assert data["known_pc_bound"] == "3/4"
         assert ser.game_from_json(data) == game
