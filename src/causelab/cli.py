@@ -30,15 +30,7 @@ from fractions import Fraction
 
 from . import __version__
 from .consistency import CANDIDATE_CAP, enumerate_process_functions, is_logically_consistent
-from .errors import (
-    CapExceeded,
-    InvalidScenario,
-    InvalidTable,
-    NonDiagonal,
-    NotCanonicalizable,
-    ScenarioMismatch,
-    SearchSpaceTooLarge,
-)
+from .errors import CapExceeded, CauselabError, InvalidTable, SearchSpaceTooLarge
 from .games import (
     ClassLabel,
     builtin_game,
@@ -501,17 +493,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SearchSpaceTooLarge, CapExceeded) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 3
-    except (
-        InvalidTable,
-        InvalidScenario,
-        ScenarioMismatch,
-        NotCanonicalizable,
-        NonDiagonal,
-        OSError,
-        json.JSONDecodeError,
-        KeyError,
-        ValueError,
-    ) as exc:
+    except (CauselabError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2
     print(json.dumps({"runtime_ms": int((time.monotonic() - started) * 1000)}), file=sys.stderr)

@@ -24,6 +24,7 @@ therefore complete; the unreduced mode remains available for cross-checks.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
@@ -32,7 +33,7 @@ from typing import Iterator, Sequence
 from ._lazy import np
 from ._record import Record
 from .errors import InvalidMixture, SearchSpaceTooLarge
-from .scenario import QuasiProcess, Scenario, flatten, iter_tuples
+from .scenario import QuasiProcess, Scenario, conditional_table, flatten, iter_tuples
 
 CANDIDATE_CAP = 2**32
 # Survey steps (candidates x output choices x joint inputs) allowed in one
@@ -303,14 +304,22 @@ def enumerate_process_functions(
         yield QuasiProcessFunction(scenario, maps)
 
 
+def _function_mixture_table(
+    scenario: Scenario, components: Sequence[tuple[QuasiProcessFunction, Fraction]]
+) -> QuasiProcess:
+    """p(i|o) = total weight of the components with w(o) = i."""
+    weight_at: Counter = Counter()
+    for omega, weight in components:
+        for o in scenario.output_tuples():
+            weight_at[omega.apply(o), o] += weight
+    return QuasiProcess(
+        scenario, conditional_table(scenario.inputs, scenario.outputs, lambda i, o: weight_at[i, o])
+    )
+
+
 def quasiprocess_from_function(omega: QuasiProcessFunction) -> QuasiProcess:
     """The 0/1 table p(i|o) = [i = w(o)]."""
-    sc = omega.scenario
-    n_inputs, n_outputs = sc.n_inputs, sc.n_outputs
-    table = [Fraction(0)] * (n_inputs * n_outputs)
-    for o_flat in range(n_outputs):
-        table[omega.apply_flat(o_flat) * n_outputs + o_flat] = Fraction(1)
-    return QuasiProcess(sc, tuple(table))
+    return _function_mixture_table(omega.scenario, ((omega, Fraction(1)),))
 
 
 class ProcessFunctionMixture(Record):
@@ -343,12 +352,4 @@ class ProcessFunctionMixture(Record):
 
 def mixture_process(mix: ProcessFunctionMixture) -> QuasiProcess:
     """Convex combination table; always logically consistent."""
-    scenario = mix.components[0][0].scenario
-    n_inputs, n_outputs = scenario.n_inputs, scenario.n_outputs
-    table = [Fraction(0)] * (n_inputs * n_outputs)
-    for omega, weight in mix.components:
-        if weight == 0:
-            continue
-        for o_flat in range(n_outputs):
-            table[omega.apply_flat(o_flat) * n_outputs + o_flat] += weight
-    return QuasiProcess(scenario, tuple(table))
+    return _function_mixture_table(mix.components[0][0].scenario, mix.components)

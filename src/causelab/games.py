@@ -52,6 +52,7 @@ from .scenario import (
     Scenario,
     canonical_interventions,
     canonical_scenario,
+    conditional_table,
     evaluate_correlation,
     flatten,
     make_scenario,
@@ -143,30 +144,27 @@ def _uniform(n: int) -> tuple[Fraction, ...]:
     return (Fraction(1, n),) * n
 
 
+def _neighbour_or_not(x: tuple[int, ...], a: tuple[int, ...]) -> bool:
+    """x equals (a3, a1, a2) or its bitwise complement."""
+    return x[0] ^ a[2] == x[1] ^ a[0] == x[2] ^ a[1]
+
+
+def _game(sc: Scenario, name: str, wins) -> Game:
+    payoff = conditional_table(sc.outcomes, sc.settings, wins)
+    return Game(sc, payoff, _uniform(sc.n_settings), name=name)
+
+
 def builtin_gynin() -> Game:
     """Tripartite guess-your-neighbour's-input-or-not game, uniform settings.
 
     Win when (x1, x2, x3) equals (a3, a1, a2) or its bitwise complement.
     """
-    sc = make_scenario(3, 2, 2, 2, 2)
-    n_a = sc.n_settings
-    payoff = [ZERO] * (sc.n_outcomes * n_a)
-    for a_flat, a in enumerate(sc.setting_tuples()):
-        straight = (a[2], a[0], a[1])
-        flipped = tuple(1 - v for v in straight)
-        for x in (straight, flipped):
-            payoff[flatten(x, sc.outcomes) * n_a + a_flat] = ONE
-    return Game(sc, tuple(payoff), _uniform(n_a), name="gynin")
+    return _game(make_scenario(3, 2, 2, 2, 2), "gynin", _neighbour_or_not)
 
 
 def builtin_gyni() -> Game:
     """Bipartite guess-your-neighbour's-input game: win iff x1 = a2 and x2 = a1."""
-    sc = make_scenario(2, 2, 2, 2, 2)
-    n_a = sc.n_settings
-    payoff = [ZERO] * (sc.n_outcomes * n_a)
-    for a_flat, a in enumerate(sc.setting_tuples()):
-        payoff[flatten((a[1], a[0]), sc.outcomes) * n_a + a_flat] = ONE
-    return Game(sc, tuple(payoff), _uniform(n_a), name="gyni")
+    return _game(make_scenario(2, 2, 2, 2, 2), "gyni", lambda x, a: x == a[::-1])
 
 
 def builtin_ocb() -> Game:
@@ -177,27 +175,12 @@ def builtin_ocb() -> Game:
     (x1 = b).  Settings are uniform.
     """
     sc = Scenario(settings=(2, 4), outcomes=(2, 2), inputs=(2, 2), outputs=(2, 4))
-    n_a = sc.n_settings
-    payoff = [ZERO] * (sc.n_outcomes * n_a)
-    for a_flat, (a1, s) in enumerate(sc.setting_tuples()):
-        b, b_prime = s % 2, s // 2
-        for x_flat, (x1, x2) in enumerate(sc.outcome_tuples()):
-            win = (x2 == a1) if b_prime == 0 else (x1 == b)
-            if win:
-                payoff[x_flat * n_a + a_flat] = ONE
-    return Game(sc, tuple(payoff), _uniform(n_a), name="ocb")
+    return _game(sc, "ocb", lambda x, a: x[1] == a[0] if a[1] < 2 else x[0] == a[1] % 2)
 
 
 def builtin_chsh() -> Game:
     """CHSH on the nonsignaling scenario with discarded (trivial) systems."""
-    sc = make_scenario(2, 2, 2, 1, 1)
-    n_a = sc.n_settings
-    payoff = [ZERO] * (sc.n_outcomes * n_a)
-    for a_flat, (a1, a2) in enumerate(sc.setting_tuples()):
-        for x_flat, (x1, x2) in enumerate(sc.outcome_tuples()):
-            if (x1 ^ x2) == (a1 & a2):
-                payoff[x_flat * n_a + a_flat] = ONE
-    return Game(sc, tuple(payoff), _uniform(n_a), name="chsh")
+    return _game(make_scenario(2, 2, 2, 1, 1), "chsh", lambda x, a: x[0] ^ x[1] == a[0] & a[1])
 
 
 BUILTIN_GAMES = {
@@ -225,13 +208,9 @@ def bfw_process() -> QuasiProcess:
     """
     sc = make_scenario(3, 2, 2, 2, 2)
     half = Fraction(1, 2)
-    table = [ZERO] * (sc.n_inputs * sc.n_outputs)
-    for o_flat, o in enumerate(sc.output_tuples()):
-        straight = (o[2], o[0], o[1])
-        flipped = tuple(1 - v for v in straight)
-        table[flatten(straight, sc.inputs) * sc.n_outputs + o_flat] += half
-        table[flatten(flipped, sc.inputs) * sc.n_outputs + o_flat] += half
-    return QuasiProcess(sc, tuple(table))
+    return QuasiProcess(
+        sc, conditional_table(sc.inputs, sc.outputs, lambda i, o: half * _neighbour_or_not(i, o))
+    )
 
 
 def gynin_perfect_correlation() -> Correlation:
@@ -241,26 +220,14 @@ def gynin_perfect_correlation() -> Correlation:
 
 
 def gyni_perfect_correlation() -> Correlation:
-    """Deterministic x1 = a2, x2 = a1 on the bipartite scenario."""
-    sc = make_scenario(2, 2, 2, 2, 2)
-    n_a = sc.n_settings
-    table = [ZERO] * (sc.n_outcomes * n_a)
-    for a_flat, a in enumerate(sc.setting_tuples()):
-        table[flatten((a[1], a[0]), sc.outcomes) * n_a + a_flat] = ONE
-    return Correlation(sc, tuple(table))
+    """Deterministic x1 = a2, x2 = a1 on the bipartite scenario: gyni's win table."""
+    return Correlation(make_scenario(2, 2, 2, 2, 2), builtin_gyni().payoff)
 
 
 def pr_box_correlation() -> Correlation:
-    """The nonsignaling box with x1 xor x2 = a1 and a2, uniform marginals."""
-    sc = make_scenario(2, 2, 2, 1, 1)
-    n_a = sc.n_settings
-    half = Fraction(1, 2)
-    table = [ZERO] * (sc.n_outcomes * n_a)
-    for a_flat, (a1, a2) in enumerate(sc.setting_tuples()):
-        for x_flat, (x1, x2) in enumerate(sc.outcome_tuples()):
-            if (x1 ^ x2) == (a1 & a2):
-                table[x_flat * n_a + a_flat] = half
-    return Correlation(sc, tuple(table))
+    """The nonsignaling box with x1 xor x2 = a1 and a2, uniform marginals: half CHSH's win table."""
+    chsh = builtin_chsh()
+    return Correlation(chsh.scenario, tuple(win / 2 for win in chsh.payoff))
 
 
 # ---------------------------------------------------------------------------

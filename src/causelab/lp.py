@@ -76,22 +76,6 @@ class LpSolution(Record):
     farkas: tuple[Fraction, ...] | None = None  # INFEASIBLE only: see the module docstring
 
 
-def format_lp(lp: LinearProgram) -> str:
-    """Plain-text equation dump for debugging."""
-
-    def term(coeffs: Sequence[Fraction]) -> str:
-        parts = [f"{c}*x{j}" for j, c in enumerate(coeffs) if c != 0]
-        return " + ".join(parts) if parts else "0"
-
-    lines = [("maximize " if lp.maximize else "minimize ") + term(lp.objective)]
-    for coeffs, rhs in lp.eq:
-        lines.append(f"  {term(coeffs)} == {rhs}")
-    for coeffs, rhs in lp.le:
-        lines.append(f"  {term(coeffs)} <= {rhs}")
-    lines.append("  x >= 0")
-    return "\n".join(lines)
-
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

@@ -126,8 +126,8 @@ def _partial_trace_out(mat: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
     return np.einsum("iojo->ij", mat.reshape(d_in, d_out, d_in, d_out))
 
 
-def is_valid_instrument(instr: InstrumentCJ, atol: float = VALIDITY_ATOL) -> InstrumentReport:
-    """Each element PSD and the per-setting sum trace-preserving, within atol."""
+def is_valid_instrument(instr: InstrumentCJ) -> InstrumentReport:
+    """Each element PSD and the per-setting sum trace-preserving, within ``VALIDITY_ATOL``."""
     min_eig = np.inf
     marginal_dev = 0.0
     identity = np.eye(instr.d_in)
@@ -141,7 +141,7 @@ def is_valid_instrument(instr: InstrumentCJ, atol: float = VALIDITY_ATOL) -> Ins
         reduced = _partial_trace_out(total, instr.d_in, instr.d_out)
         marginal_dev = max(marginal_dev, float(np.max(np.abs(reduced - identity))))
     return InstrumentReport(
-        valid=(min_eig >= -atol and marginal_dev <= atol),
+        valid=(min_eig >= -VALIDITY_ATOL and marginal_dev <= VALIDITY_ATOL),
         min_eigenvalue=float(min_eig),
         marginal_deviation=marginal_dev,
     )
@@ -222,10 +222,9 @@ def _normalization_family(d_in: int, d_out: int) -> list[np.ndarray]:
     return family
 
 
-def is_valid_process_matrix(
-    pm: ProcessMatrix, atol: float = VALIDITY_ATOL
-) -> ProcessMatrixReport:
-    """Positivity plus unit trace against every tuple of trace-preserving maps.
+def is_valid_process_matrix(pm: ProcessMatrix) -> ProcessMatrixReport:
+    """Positivity plus unit trace against every tuple of trace-preserving maps, within
+    ``VALIDITY_ATOL``.
 
     The tuples times the matrix's entries are checked against
     ``VALIDITY_WORK_CAP`` before any tuple is built.
@@ -253,7 +252,9 @@ def is_valid_process_matrix(
         value = trace_product(w, tensor)
         norm_dev = max(norm_dev, abs(value - 1.0))
     return ProcessMatrixReport(
-        valid=(herm_dev <= atol and min_eig >= -atol and norm_dev <= atol),
+        valid=(
+            herm_dev <= VALIDITY_ATOL and min_eig >= -VALIDITY_ATOL and norm_dev <= VALIDITY_ATOL
+        ),
         hermiticity_deviation=herm_dev,
         min_eigenvalue=min_eig,
         normalization_deviation=norm_dev,
@@ -279,10 +280,6 @@ class NumericCorrelation(Record):
             sum(self.table[x_flat * n_a + a_flat] for x_flat in range(self.scenario.n_outcomes))
             for a_flat in range(n_a)
         )
-
-    def clipped_table(self) -> tuple[float, ...]:
-        """Entries clipped to [0, 1]; for reporting only."""
-        return tuple(min(1.0, max(0.0, v)) for v in self.table)
 
 
 def pm_correlation(
@@ -318,34 +315,20 @@ def pm_correlation(
     return NumericCorrelation(sc, tuple(table), max_imag)
 
 
-def _diag_index(scenario: Scenario, i_flat: int, o_flat: int) -> int:
-    """Global basis index of |i_1 o_1 i_2 o_2 ...> from flattened joint indices."""
-    idx = 0
-    remainder_i, remainder_o = i_flat, o_flat
-    comps = []
-    for d_in, d_out in zip(reversed(scenario.inputs), reversed(scenario.outputs)):
-        comps.append((remainder_i % d_in, remainder_o % d_out, d_in, d_out))
-        remainder_i //= d_in
-        remainder_o //= d_out
-    for i_k, o_k, d_in, d_out in reversed(comps):
-        idx = idx * (d_in * d_out) + i_k * d_out + o_k
-    return idx
+def _party_major(n_parties: int) -> list[int]:
+    """Axis order taking (per-party inputs..., per-party outputs...) to I_1, O_1, I_2, O_2, ..."""
+    return [axis for k in range(n_parties) for axis in (k, n_parties + k)]
 
 
 def diagonal_from_classical(qp: QuasiProcess) -> ProcessMatrix:
     """Basis-diagonal environment whose trace-rule statistics reproduce the
     classical evaluator under diagonal instruments."""
     sc = qp.scenario
-    dim = prod(sc.inputs) * prod(sc.outputs)
-    w = np.zeros((dim, dim), dtype=np.complex128)
-    for i_flat in range(sc.n_inputs):
-        for o_flat in range(sc.n_outputs):
-            g = _diag_index(sc, i_flat, o_flat)
-            w[g, g] = float(qp.table[i_flat * sc.n_outputs + o_flat])
-    return ProcessMatrix(sc, w)
+    table = np.array(qp.table, dtype=np.float64).reshape(sc.inputs + sc.outputs)
+    return ProcessMatrix(sc, np.diag(table.transpose(_party_major(sc.n_parties)).reshape(-1)))
 
 
-def classical_from_diagonal(pm: ProcessMatrix, atol: float = DIAGONAL_ATOL) -> QuasiProcess:
+def classical_from_diagonal(pm: ProcessMatrix) -> QuasiProcess:
     """Inverse of :func:`diagonal_from_classical`.
 
     Entries convert float -> Fraction losslessly, so the round trip is exact
@@ -357,33 +340,28 @@ def classical_from_diagonal(pm: ProcessMatrix, atol: float = DIAGONAL_ATOL) -> Q
     off = pm.matrix.copy()
     np.fill_diagonal(off, 0.0)
     worst = float(np.max(np.abs(off)))
-    if worst > atol:
-        raise NonDiagonal(f"largest off-diagonal magnitude {worst} exceeds {atol}")
-    table = [Fraction(0)] * (sc.n_inputs * sc.n_outputs)
-    for i_flat in range(sc.n_inputs):
-        for o_flat in range(sc.n_outputs):
-            g = _diag_index(sc, i_flat, o_flat)
-            table[i_flat * sc.n_outputs + o_flat] = Fraction(pm.matrix[g, g].real)
-    return QuasiProcess(sc, tuple(table))
+    if worst > DIAGONAL_ATOL:
+        raise NonDiagonal(f"largest off-diagonal magnitude {worst} exceeds {DIAGONAL_ATOL}")
+    axes = _party_major(sc.n_parties)
+    diag = pm.matrix.diagonal().real.reshape([(sc.inputs + sc.outputs)[axis] for axis in axes])
+    return QuasiProcess(sc, tuple(map(Fraction, diag.transpose(np.argsort(axes)).ravel().tolist())))
 
 
 def classical_instruments(family: InterventionFamily) -> list[InstrumentCJ]:
     """Diagonal CJ instruments implementing classical local operations."""
     sc = family.scenario
     out = []
-    for k in range(sc.n_parties):
+    for k, table in enumerate(family.tables):
         d_in, d_out = sc.inputs[k], sc.outputs[k]
-        per_setting = []
-        for a in range(sc.settings[k]):
-            per_outcome = []
-            for x in range(sc.outcomes[k]):
-                m = np.zeros((d_in * d_out, d_in * d_out), dtype=np.complex128)
-                for i in range(d_in):
-                    for o in range(d_out):
-                        m[i * d_out + o, i * d_out + o] = float(family.prob(k, x, o, a, i))
-                per_outcome.append(m)
-            per_setting.append(tuple(per_outcome))
-        out.append(InstrumentCJ(d_in, d_out, tuple(per_setting)))
+        dim = d_in * d_out
+        probs = np.array(table, dtype=np.float64).reshape(
+            sc.outcomes[k], d_out, sc.settings[k], d_in
+        )
+        # diag[a, x] lists p(x, o | a, i) at the diagonal position i * d_out + o
+        diag = probs.transpose(2, 0, 3, 1).reshape(sc.settings[k], sc.outcomes[k], dim)
+        ops = np.zeros(diag.shape + (dim,), dtype=np.complex128)
+        ops[..., np.arange(dim), np.arange(dim)] = diag
+        out.append(InstrumentCJ(d_in, d_out, tuple(map(tuple, ops))))
     return out
 
 

@@ -10,7 +10,8 @@ and uses one flattening convention:
 * a conditional table over (object, conditioner) flattens as
   ``flat(object) * n_conditioner + flat(conditioner)``; a quasi-process entry
   p(i|o) therefore lives at ``flat(i) * n_outputs + flat(o)`` and a correlation
-  entry p(x|a) at ``flat(x) * n_settings + flat(a)``.
+  entry p(x|a) at ``flat(x) * n_settings + flat(a)``.  :func:`conditional_table`
+  builds such a table from a rule on the two multi-indices.
 
 Classical probabilities are exact :class:`fractions.Fraction` values.  All
 objects are immutable after construction and every operation here is a pure
@@ -22,7 +23,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import prod
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ._record import Record
 from .errors import (
@@ -33,7 +34,6 @@ from .errors import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def flatten(index: Sequence[int], cards: Sequence[int]) -> int:
@@ -63,6 +63,22 @@ def unflatten(flat: int, cards: Sequence[int]) -> tuple[int, ...]:
 def iter_tuples(cards: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All multi-indices in ascending flattened (lexicographic) order."""
     return itertools.product(*(range(card) for card in cards))
+
+
+def conditional_table(
+    object_cards: Sequence[int],
+    conditioner_cards: Sequence[int],
+    entry: Callable[[tuple[int, ...], tuple[int, ...]], object],
+) -> tuple[Fraction, ...]:
+    """The table with ``Fraction(entry(obj, cond))`` at ``flat(obj) * n_cond + flat(cond)``.
+
+    ``obj`` and ``cond`` are multi-indices over the two card lists; a boolean
+    rule gives a 0/1 table.
+    """
+    conditioners = list(iter_tuples(conditioner_cards))
+    return tuple(
+        Fraction(entry(obj, cond)) for obj in iter_tuples(object_cards) for cond in conditioners
+    )
 
 
 class Scenario(Record):
@@ -126,15 +142,22 @@ def make_scenario(
     inputs: int | Sequence[int],
     outputs: int | Sequence[int],
 ) -> Scenario:
-    """Build a validated scenario; scalar cardinalities apply to every party."""
+    """Build a validated scenario; scalar cardinalities apply to every party.
+
+    Cardinalities are not coerced: ``Scenario`` rejects any that is not an int.
+    """
+    if isinstance(n_parties, bool) or not isinstance(n_parties, int):
+        raise InvalidScenario(f"n_parties must be an int, got {n_parties!r}")
     if n_parties < 1:
         raise InvalidScenario("n_parties must be positive")
 
     def expand(value: int | Sequence[int], name: str) -> tuple[int, ...]:
         if isinstance(value, int):
             cards = (value,) * n_parties
+        elif isinstance(value, Sequence):
+            cards = tuple(value)
         else:
-            cards = tuple(int(v) for v in value)
+            raise InvalidScenario(f"{name} must be an int or one int per party, got {value!r}")
         if len(cards) != n_parties:
             raise InvalidScenario(f"{name} needs one cardinality per party")
         return cards
@@ -157,27 +180,37 @@ def canonical_scenario(scenario: Scenario) -> Scenario:
     )
 
 
-def _check_distribution_table(
-    table: Sequence[Fraction],
-    n_object: int,
-    n_conditioner: int,
-    what: str,
-) -> None:
+def _distribution_report(
+    table: Sequence, n_object: int, n_conditioner: int, what: str
+) -> tuple[tuple[Fraction, ...], CorrelationValidation]:
+    """The table as Fractions, with its negative entries and off-unit conditioner columns."""
     if len(table) != n_object * n_conditioner:
         raise InvalidTable(
-            f"{what}: table has {len(table)} entries, expected {n_object * n_conditioner}"
+            f"{what}table has {len(table)} entries, expected {n_object * n_conditioner}"
         )
-    for entry in table:
-        if entry < 0:
-            raise InvalidTable(f"{what}: negative entry {entry}")
-    for cond in range(n_conditioner):
-        mass = sum(table[obj * n_conditioner + cond] for obj in range(n_object))
-        if mass != 1:
-            raise InvalidTable(f"{what}: conditioner column {cond} has mass {mass}, expected 1")
+    entries = tuple(Fraction(v) for v in table)
+    negatives = tuple(
+        (*divmod(flat, n_conditioner), value) for flat, value in enumerate(entries) if value < 0
+    )
+    masses = tuple(
+        (cond, mass)
+        for cond in range(n_conditioner)
+        if (mass := sum(entries[cond::n_conditioner])) != 1
+    )
+    return entries, CorrelationValidation(negatives, masses)
 
 
-def _as_fraction_table(table: Sequence) -> tuple[Fraction, ...]:
-    return tuple(Fraction(entry) for entry in table)
+def _checked_table(
+    table: Sequence, n_object: int, n_conditioner: int, what: str
+) -> tuple[Fraction, ...]:
+    """The table as Fractions; raises ``InvalidTable`` on its first violation."""
+    entries, report = _distribution_report(table, n_object, n_conditioner, f"{what}: ")
+    if report.negative_entries:
+        raise InvalidTable(f"{what}: negative entry {report.negative_entries[0][2]}")
+    if report.mass_violations:
+        cond, mass = report.mass_violations[0]
+        raise InvalidTable(f"{what}: conditioner column {cond} has mass {mass}, expected 1")
+    return entries
 
 
 class Correlation(Record):
@@ -187,10 +220,9 @@ class Correlation(Record):
     table: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "table", _as_fraction_table(self.table))
-        _check_distribution_table(
-            self.table, self.scenario.n_outcomes, self.scenario.n_settings, "correlation"
-        )
+        sc = self.scenario
+        table = _checked_table(self.table, sc.n_outcomes, sc.n_settings, "correlation")
+        object.__setattr__(self, "table", table)
 
     @classmethod
     def unchecked(cls, scenario: Scenario, table: Sequence[Fraction]) -> "Correlation":
@@ -212,10 +244,9 @@ class QuasiProcess(Record):
     table: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "table", _as_fraction_table(self.table))
-        _check_distribution_table(
-            self.table, self.scenario.n_inputs, self.scenario.n_outputs, "quasi-process"
-        )
+        sc = self.scenario
+        table = _checked_table(self.table, sc.n_inputs, sc.n_outputs, "quasi-process")
+        object.__setattr__(self, "table", table)
 
     def prob(self, i: Sequence[int], o: Sequence[int]) -> Fraction:
         sc = self.scenario
@@ -239,15 +270,16 @@ class InterventionFamily(Record):
         sc = self.scenario
         if len(self.tables) != sc.n_parties:
             raise InvalidTable(f"expected {sc.n_parties} party tables, got {len(self.tables)}")
-        converted = tuple(_as_fraction_table(t) for t in self.tables)
-        object.__setattr__(self, "tables", converted)
-        for k, table in enumerate(converted):
-            _check_distribution_table(
+        checked = tuple(
+            _checked_table(
                 table,
                 sc.outcomes[k] * sc.outputs[k],
                 sc.settings[k] * sc.inputs[k],
                 f"intervention for party {k}",
             )
+            for k, table in enumerate(self.tables)
+        )
+        object.__setattr__(self, "tables", checked)
 
     @classmethod
     def unchecked(
@@ -276,19 +308,15 @@ class DeterministicIntervention(Record):
     outcome_maps: tuple[tuple[tuple[int, ...], ...], ...]
 
     def to_family(self, scenario: Scenario) -> InterventionFamily:
-        tables = []
-        for k in range(scenario.n_parties):
-            n_a, d_i = scenario.settings[k], scenario.inputs[k]
-            n_x, d_o = scenario.outcomes[k], scenario.outputs[k]
-            table = [ZERO] * (n_x * d_o * n_a * d_i)
-            for a in range(n_a):
-                for i in range(d_i):
-                    o = self.output_maps[k][a][i]
-                    x = self.outcome_maps[k][a][i]
-                    row = x * d_o + o
-                    table[row * (n_a * d_i) + a * d_i + i] = ONE
-            tables.append(tuple(table))
-        return InterventionFamily(scenario, tuple(tables))
+        def party_table(k: int) -> tuple[Fraction, ...]:
+            outcome, output = self.outcome_maps[k], self.output_maps[k]
+            return conditional_table(
+                (scenario.outcomes[k], scenario.outputs[k]),
+                (scenario.settings[k], scenario.inputs[k]),
+                lambda xo, ai: xo == (outcome[ai[0]][ai[1]], output[ai[0]][ai[1]]),
+            )
+
+        return InterventionFamily(scenario, tuple(map(party_table, range(scenario.n_parties))))
 
 
 class EvaluatedCorrelation(Record):
@@ -408,19 +436,4 @@ class CorrelationValidation(Record):
 
 def validate_correlation(scenario: Scenario, table: Sequence[Fraction]) -> CorrelationValidation:
     """Check a raw table against the correlation invariants without raising."""
-    n_x, n_a = scenario.n_outcomes, scenario.n_settings
-    if len(table) != n_x * n_a:
-        raise InvalidTable(f"table has {len(table)} entries, expected {n_x * n_a}")
-    entries = [Fraction(v) for v in table]
-    negatives = tuple(
-        (x_flat, a_flat, entries[x_flat * n_a + a_flat])
-        for x_flat in range(n_x)
-        for a_flat in range(n_a)
-        if entries[x_flat * n_a + a_flat] < 0
-    )
-    masses = []
-    for a_flat in range(n_a):
-        mass = sum(entries[x_flat * n_a + a_flat] for x_flat in range(n_x))
-        if mass != 1:
-            masses.append((a_flat, mass))
-    return CorrelationValidation(negatives, tuple(masses))
+    return _distribution_report(table, scenario.n_outcomes, scenario.n_settings, "")[1]

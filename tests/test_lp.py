@@ -22,7 +22,6 @@ from causelab.games import (
     pc_bound_canonical,
     pr_box_correlation,
 )
-from causelab.lp import format_lp
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -193,11 +192,6 @@ class TestLpSolve:
         for coeffs, rhs in lp.le:
             assert sum(c * v for c, v in zip(coeffs, sol.x)) <= rhs
         assert sum(c * v for c, v in zip(lp.objective, sol.x)) == sol.value
-
-    def test_format_lp(self):
-        lp = LinearProgram(objective=(ONE,), maximize=True, le=(((ONE,), ONE),))
-        text = format_lp(lp)
-        assert "maximize" in text and "<=" in text
 
 
 class TestHullMembership:

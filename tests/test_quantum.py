@@ -7,6 +7,7 @@ import pytest
 
 from causelab import (
     ProcessFunctionMixture,
+    Scenario,
     canonical_interventions,
     evaluate_correlation,
     enumerate_process_functions,
@@ -201,11 +202,6 @@ class TestPmCorrelation:
         with pytest.raises(ScenarioMismatch):
             pm_correlation(pm, instruments[:1])
 
-    def test_clipped_table(self):
-        pm, instruments = builtin_ocb_process()
-        corr = pm_correlation(pm, instruments)
-        assert all(0.0 <= v <= 1.0 for v in corr.clipped_table())
-
 
 class TestDiagonalBridge:
     def test_bfw_round_trip_exact(self):
@@ -217,11 +213,20 @@ class TestDiagonalBridge:
         with pytest.raises(NonDiagonal):
             classical_from_diagonal(pm)
 
-    @pytest.mark.parametrize("n_parties", [1, 2, 3])
-    def test_bridge_matches_classical_evaluator(self, n_parties):
+    @pytest.mark.parametrize(
+        "sc",
+        [pytest.param(make_scenario(n, 2, 2, 2, 2), id=str(n)) for n in (1, 2, 3)]
+        # unequal alphabets catch an input/output or party axis mix-up in the bridge
+        + [
+            pytest.param(
+                Scenario(settings=(2, 3), outcomes=(3, 2), inputs=(2, 3), outputs=(3, 2)),
+                id="mixed",
+            )
+        ],
+    )
+    def test_bridge_matches_classical_evaluator(self, sc):
         # dyadic mixtures keep the float representation exact
-        rng = random.Random(100 + n_parties)
-        sc = make_scenario(n_parties, 2, 2, 2, 2)
+        rng = random.Random(100 + sc.n_parties)
         functions = list(enumerate_process_functions(sc))
         for _ in range(3):
             chosen = rng.sample(functions, min(4, len(functions)))
@@ -229,9 +234,9 @@ class TestDiagonalBridge:
             process = mixture_process(ProcessFunctionMixture(tuple(zip(chosen, weights))))
             family = random_interventions(rng, sc)
             exact = evaluate_correlation(process, family)
-            numeric = pm_correlation(
-                diagonal_from_classical(process), classical_instruments(family)
-            )
+            pm = diagonal_from_classical(process)
+            assert classical_from_diagonal(pm).table == process.table
+            numeric = pm_correlation(pm, classical_instruments(family))
             worst = max(
                 abs(float(e) - n) for e, n in zip(exact.table, numeric.table)
             )

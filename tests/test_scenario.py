@@ -56,6 +56,20 @@ class TestMakeScenario:
         with pytest.raises(InvalidScenario):
             Scenario(settings=(2, bad), outcomes=(2, 2), inputs=(2, 2), outputs=(2, 2))
 
+    @pytest.mark.parametrize(
+        "settings",
+        [[2.5, 2], [True, 2], ["2", 2], 2.0],
+        ids=["float-entry", "bool-entry", "str-entry", "float-scalar"],
+    )
+    def test_cardinalities_are_not_coerced(self, settings):
+        with pytest.raises(InvalidScenario):
+            make_scenario(2, settings, 2, 2, 2)
+
+    @pytest.mark.parametrize("n_parties", [2.0, True, "2"])
+    def test_party_count_is_not_coerced(self, n_parties):
+        with pytest.raises(InvalidScenario):
+            make_scenario(n_parties, 2, 2, 2, 2)
+
     def test_per_party_cards(self):
         sc = make_scenario(2, (2, 4), 2, 2, (2, 4))
         assert sc.settings == (2, 4) and sc.outputs == (2, 4)
