@@ -27,12 +27,13 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import prod
 from typing import Iterator, Sequence
 
 from ._lazy import np
 from ._record import Record
 from .errors import InvalidMixture, SearchSpaceTooLarge
+from .lp import _scaled
 from .scenario import QuasiProcess, Scenario, conditional_table, flatten, iter_tuples
 
 CANDIDATE_CAP = 2**32
@@ -77,13 +78,6 @@ class QuasiProcessFunction(Record):
     def apply(self, o: Sequence[int]) -> tuple[int, ...]:
         o_flat = flatten(o, self.scenario.outputs)
         return tuple(component[o_flat] for component in self.maps)
-
-    def apply_flat(self, o_flat: int) -> int:
-        """Flattened joint input delivered when the joint output is o_flat."""
-        value = 0
-        for k, component in enumerate(self.maps):
-            value = value * self.scenario.inputs[k] + component[o_flat]
-        return value
 
 
 def output_choice_count(scenario: Scenario) -> int:
@@ -159,8 +153,7 @@ def is_logically_consistent(qp: QuasiProcess, cap: int = CANDIDATE_CAP) -> Consi
     """
     sc = qp.scenario
     cells = _choice_input_to_output_tables(sc, cap) + np.arange(sc.n_inputs) * sc.n_outputs
-    denom = lcm(*(v.denominator for v in qp.table))
-    nums = [v.numerator * (denom // v.denominator) for v in qp.table]
+    nums, denom = _scaled(qp.table)
     fits = max(map(abs, nums)) * sc.n_inputs < 2**63
     masses = np.array(nums, dtype=np.int64 if fits else object)[cells].sum(axis=1)
     bad = np.flatnonzero(masses != denom)
@@ -252,10 +245,19 @@ def _survey_process_functions(
     unique fixed point at the c-th output choice (enumeration order).
     Candidates are scanned in lex order, in batches whose fixed points at every
     choice come from one gather through the output-choice table.  The
-    candidate count is capped by ``cap``, then the work (candidates x output
-    choices x joint inputs) by ``SURVEY_WORK_CAP``, before anything is scanned.
+    candidate count, read from the scenario, is capped by ``cap``, then the
+    work (candidates x output choices x joint inputs) by ``SURVEY_WORK_CAP``,
+    before any candidate table is built.
     """
-    axes, total = _candidate_axes(scenario, reduced)
+    # party k's candidate components: d_I^(joint outputs, less its own if reduced)
+    sizes = [
+        (d_i, scenario.n_outputs // (d_o if reduced else 1))
+        for d_i, d_o in zip(scenario.inputs, scenario.outputs)
+    ]
+    at_least = sum(e * (d_i.bit_length() - 1) for d_i, e in sizes)  # bits of a lower bound
+    if at_least > cap.bit_length():
+        raise SearchSpaceTooLarge(f"at least 2^{at_least} candidates exceed the cap {cap}")
+    total = prod(d_i**e for d_i, e in sizes)
     if total > cap:
         raise SearchSpaceTooLarge(f"{total} candidates exceed the cap {cap}")
     choices = output_choice_count(scenario)
@@ -265,6 +267,7 @@ def _survey_process_functions(
             f"the survey needs about {work} steps ({total} candidates x {choices} output "
             f"choices x {scenario.n_inputs} joint inputs), above the work cap {SURVEY_WORK_CAP}"
         )
+    axes, _ = _candidate_axes(scenario, reduced)
     choice_io = _choice_input_to_output_tables(scenario, cap)
     in_strides = [prod(scenario.inputs[k + 1 :]) for k in range(scenario.n_parties)]
     # Candidate t's component k is axis k's entry at digit t // place[k] % len(axis).

@@ -3,7 +3,8 @@ Games, scoring, and the hierarchy bound computations.
 
 A game is a rational payoff over (outcomes, settings) plus a distribution on
 joint settings; its score on a behaviour p(x|a) is the linear functional
-sum payoff(x,a) * p(a) * p(x|a).  Three bounds are computed per game:
+``Game.phi``, phi(x,a) = payoff(x,a) * p(a), summed against p(x|a).  Every
+bound below reads the game through phi alone:
 
 * ``causal_bound``: maximum over deterministic adaptive causal strategies.
   A first party answers as a function of its own setting; conditioned on that
@@ -29,7 +30,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import prod
 from typing import Sequence
 
 from ._lazy import np
@@ -44,7 +45,7 @@ from .consistency import (
     output_choice_count,
 )
 from .errors import CapExceeded, InvalidTable, ScenarioMismatch, SearchSpaceTooLarge
-from .lp import LinearProgram, LpStatus, check_hull_lp_size, hull_membership, lp_solve
+from .lp import LinearProgram, LpStatus, _scaled, check_hull_lp_size, hull_membership, lp_solve
 from .scenario import (
     Correlation,
     DeterministicIntervention,
@@ -54,7 +55,6 @@ from .scenario import (
     canonical_scenario,
     conditional_table,
     evaluate_correlation,
-    flatten,
     make_scenario,
     universal_realization,
 )
@@ -109,9 +109,15 @@ class Game(Record):
         if sum(self.setting_dist) != 1:
             raise InvalidTable("setting distribution must sum to 1")
 
+    @property
+    def phi(self) -> tuple[Fraction, ...]:
+        """The score functional: phi[x_flat * n_settings + a_flat] = payoff * p(a)."""
+        n_a = self.scenario.n_settings
+        return tuple(pay * self.setting_dist[f % n_a] for f, pay in enumerate(self.payoff))
+
 
 def score(game: Game, corr) -> Fraction | float:
-    """Linear score sum payoff * p(a) * p(x|a); exact on rational tables.
+    """Linear score phi . p = sum payoff * p(a) * p(x|a); exact on rational tables.
 
     Only the setting and outcome alphabets must match; input/output system
     sizes are irrelevant to scoring, which lets one game score both classical
@@ -121,17 +127,12 @@ def score(game: Game, corr) -> Fraction | float:
     other = corr.scenario
     if sc.settings != other.settings or sc.outcomes != other.outcomes:
         raise ScenarioMismatch("game and correlation alphabets differ")
-    n_a = sc.n_settings
+    phi = game.phi
     total = ZERO
-    for a_flat in range(n_a):
-        weight = game.setting_dist[a_flat]
-        if weight == 0:
-            continue
-        for x_flat in range(sc.n_outcomes):
-            pay = game.payoff[x_flat * n_a + a_flat]
-            if pay == 0:
-                continue
-            total = total + pay * weight * corr.table[x_flat * n_a + a_flat]
+    for a_flat in range(sc.n_settings):
+        for f in range(a_flat, len(phi), sc.n_settings):
+            if phi[f]:
+                total = total + phi[f] * corr.table[f]
     return total
 
 
@@ -251,19 +252,16 @@ def causal_bound(game: Game) -> CausalBoundResult:
     sc = game.scenario
     n = sc.n_parties
     n_a = sc.n_settings
-    unset = -1
-    # state -> (value, acting party, outcome chosen for each of its settings)
-    memo: dict[tuple, tuple[Fraction, int, tuple[int, ...]]] = {}
+    phi = game.phi
+    a_strides, x_strides = _strides(sc.settings), _strides(sc.outcomes)
+    # (parties to act, a_flat, x_flat) -> (value, acting party, outcome per setting);
+    # a party yet to act adds 0 to both flat indices, and the mask tells it apart.
+    memo: dict[tuple[int, int, int], tuple[Fraction, int, tuple[int, ...]]] = {}
 
-    def completions_weight_payoff(partial_a: tuple[int, ...], partial_x: tuple[int, ...]) -> Fraction:
-        a_flat = flatten(partial_a, sc.settings)
-        x_flat = flatten(partial_x, sc.outcomes)
-        return game.setting_dist[a_flat] * game.payoff[x_flat * n_a + a_flat]
-
-    def best(mask: int, partial_a: tuple[int, ...], partial_x: tuple[int, ...]) -> Fraction:
+    def best(mask: int, a_flat: int, x_flat: int) -> Fraction:
         if mask == 0:
-            return completions_weight_payoff(partial_a, partial_x)
-        key = (mask, partial_a, partial_x)
+            return phi[x_flat * n_a + a_flat]
+        key = (mask, a_flat, x_flat)
         cached = memo.get(key)
         if cached is not None:
             return cached[0]
@@ -276,9 +274,9 @@ def causal_bound(game: Game) -> CausalBoundResult:
             total = ZERO
             chosen = []
             for a_k in range(sc.settings[k]):
-                next_a = partial_a[:k] + (a_k,) + partial_a[k + 1 :]
+                next_a = a_flat + a_k * a_strides[k]
                 values = [
-                    best(mask & ~(1 << k), next_a, partial_x[:k] + (x_k,) + partial_x[k + 1 :])
+                    best(mask & ~(1 << k), next_a, x_flat + x_k * x_strides[k])
                     for x_k in range(sc.outcomes[k])
                 ]
                 x_k = values.index(max(values))  # the first best outcome
@@ -289,26 +287,22 @@ def causal_bound(game: Game) -> CausalBoundResult:
         memo[key] = winner
         return winner[0]
 
-    def strategy(mask: int, partial_a: tuple[int, ...], partial_x: tuple[int, ...]) -> dict | None:
+    def strategy(mask: int, a_flat: int, x_flat: int) -> dict | None:
         if mask == 0:
             return None
-        _, k, chosen = memo[(mask, partial_a, partial_x)]
+        _, k, chosen = memo[(mask, a_flat, x_flat)]
         branches = []
         for a_k, x_k in enumerate(chosen):
-            next_a = partial_a[:k] + (a_k,) + partial_a[k + 1 :]
-            next_x = partial_x[:k] + (x_k,) + partial_x[k + 1 :]
+            next_a = a_flat + a_k * a_strides[k]
+            next_x = x_flat + x_k * x_strides[k]
             branches.append(
                 {"setting": a_k, "outcome": x_k, "then": strategy(mask & ~(1 << k), next_a, next_x)}
             )
         return {"party": k, "branches": branches}
 
-    start_a = (unset,) * n
-    start_x = (unset,) * n
-
-    # flatten() rejects the unset marker, so leaves only see full assignments.
     full_mask = (1 << n) - 1
-    value = best(full_mask, start_a, start_x)
-    return CausalBoundResult(value, strategy(full_mask, start_a, start_x))
+    value = best(full_mask, 0, 0)
+    return CausalBoundResult(value, strategy(full_mask, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -321,25 +315,6 @@ def _strides(cards: Sequence[int]) -> list[int]:
     for k in range(len(cards) - 2, -1, -1):
         out[k] = out[k + 1] * cards[k + 1]
     return out
-
-
-def _scaled_weighted_payoff(game: Game) -> tuple[np.ndarray, int]:
-    """Integer matrix G[a, x] = payoff * p(a) * scale with the common denominator."""
-    sc = game.scenario
-    n_a, n_x = sc.n_settings, sc.n_outcomes
-    weighted = []
-    denom = 1
-    for a_flat in range(n_a):
-        w = game.setting_dist[a_flat]
-        for x_flat in range(n_x):
-            v = game.payoff[x_flat * n_a + a_flat] * w
-            weighted.append(v)
-            denom = lcm(denom, v.denominator)
-    ints = [int(v * denom) for v in weighted]
-    peak = max((abs(v) for v in ints), default=0)
-    if peak * max(n_a, 1) >= 2**62:
-        raise SearchSpaceTooLarge("scaled payoff would overflow 64-bit accumulation")
-    return np.array(ints, dtype=np.int64).reshape(n_a, n_x), denom
 
 
 def _digit_words(digits: np.ndarray, base: int) -> np.ndarray:
@@ -398,10 +373,10 @@ class _DcSearch:
         self.n_a = scenario.n_settings
         # Output choices per party; outcome maps over (setting, input) cells
         # a * d_I + i (hmap) and over inputs alone (smap, one setting's slice).
-        # A party's outcome-map table is built when a search first reads it,
-        # so the caps on the counts H and S run before any table exists.
-        self.choices = [_lex_maps(scenario.inputs[k], scenario.outputs[k]) for k in range(self.n)]
-        self.F = [len(c) for c in self.choices]
+        # A party's table is built when a search first reads it, so the caps
+        # on the counts F, H and S run before any table exists.
+        self.choices = functools.cache(lambda k: _lex_maps(scenario.inputs[k], scenario.outputs[k]))
+        self.F = [d_o**d_i for d_o, d_i in zip(scenario.outputs, scenario.inputs)]
         self.fp_strides = _strides(self.F)
         self.in_strides = _strides(scenario.inputs)
         self.x_strides = _strides(scenario.outcomes)
@@ -650,7 +625,7 @@ def _decode_intervention(
         per_setting_x = []
         for a in range(sc.settings[k]):
             rep = reps[k][function, digits[axis_offset[k] + a]]
-            per_setting_out.append(tuple(search.choices[k][rep].tolist()))
+            per_setting_out.append(tuple(search.choices(k)[rep].tolist()))
             if k == last:
                 x_map = search.smap(k)[last_slices[a]]
             else:
@@ -687,7 +662,10 @@ def dc_bound(game: Game, candidate_cap: int = CANDIDATE_CAP) -> DcBoundResult:
         raise SearchSpaceTooLarge(
             f"{grid} outcome maps of the other parties exceed cap {DC_HGRID_CAP}"
         )
-    G, scale = _scaled_weighted_payoff(game)
+    nums, scale = _scaled(game.phi)
+    if max(map(abs, nums)) * sc.n_settings >= 2**62:
+        raise SearchSpaceTooLarge("scaled payoff would overflow 64-bit accumulation")
+    G = np.array(nums, dtype=np.int64).reshape(sc.n_outcomes, sc.n_settings).T
     rows, (survey, grid_flat, site), sites = search.rows
     work = len(rows) * grid * search.S[last] * search.n_a
     if work > DC_SCORE_WORK_CAP:
@@ -745,21 +723,14 @@ def pc_bound_canonical(game: Game, choice_cap: int = CANDIDATE_CAP) -> PcBoundRe
             f"the canonical PC LP has {size} tableau coefficients ({n_eq} equality rows x "
             f"({n_vars} variables + {n_eq} artificials + 1)), above the LP size cap {PC_LP_CAP}"
         )
-    objective = [ZERO] * n_vars
-    for i_flat in range(n_i):
-        for o_flat in range(n_o):
-            objective[i_flat * n_o + o_flat] = (
-                game.setting_dist[o_flat] * game.payoff[i_flat * n_o + o_flat]
-            )
     eq_rows = []
     for row in _choice_input_to_output_tables(sc, choice_cap) + np.arange(n_i) * n_o:
         coeffs = [ZERO] * n_vars
         for cell in row.tolist():
             coeffs[cell] = ONE
         eq_rows.append((tuple(coeffs), ONE))
-    solution = lp_solve(
-        LinearProgram(objective=tuple(objective), maximize=True, eq=tuple(eq_rows))
-    )
+    # the canonical scenario's (i, o) layout is the game's (x, a) layout
+    solution = lp_solve(LinearProgram(objective=game.phi, maximize=True, eq=tuple(eq_rows)))
     if solution.status is not LpStatus.OPTIMAL:  # pragma: no cover - polytope is nonempty, bounded
         raise AssertionError(f"canonical process polytope LP returned {solution.status}")
     return PcBoundResult(solution.value, QuasiProcess(sc, solution.x))

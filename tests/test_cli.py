@@ -10,25 +10,40 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from causelab import QuasiProcess, QuasiProcessFunction, make_scenario, quasiprocess_from_function
+from causelab import (
+    Correlation,
+    QuasiProcess,
+    QuasiProcessFunction,
+    Scenario,
+    make_scenario,
+    quasiprocess_from_function,
+)
 from causelab import serialize as ser
 from causelab.cli import main
-from causelab.games import gyni_perfect_correlation, gynin_perfect_correlation, pr_box_correlation
+from causelab.games import (
+    Game,
+    gyni_perfect_correlation,
+    gynin_perfect_correlation,
+    pr_box_correlation,
+)
 
 
 def run_cli(*args, env=None):
     merged = dict(os.environ)
     if env:
         merged.update(env)
+    # a hard timeout, so a request that regresses into a hang fails instead of stalling
     return subprocess.run(
         [sys.executable, "-m", "causelab", *args],
         capture_output=True,
         text=True,
         env=merged,
+        timeout=120,
     )
 
 
@@ -404,6 +419,23 @@ def test_numeric_requests_leave_numpy_ma_unloaded(statement):
     assert proc.stdout.split() == ["True", "False"]
 
 
+@pytest.fixture(scope="module")
+def oversized_files(tmp_path_factory):
+    """A six-party binary game, and a game and a behaviour whose first party has 30 inputs."""
+    out = tmp_path_factory.mktemp("oversized")
+    six = make_scenario(6, 2, 2, 2, 2)
+    n_a = six.n_settings
+    wide = Scenario(settings=(1, 1), outcomes=(2, 2), inputs=(30, 1), outputs=(2, 2))
+    documents = {
+        "six_party": ser.game_to_json(Game(six, (0,) * (six.n_outcomes * n_a), (Fraction(1, n_a),) * n_a)),
+        "thirty_inputs": ser.game_to_json(Game(wide, (1, 0, 0, 0), (1,))),
+        "thirty_correlation": ser.correlation_to_json(Correlation(wide, (Fraction(1, 4),) * 4)),
+    }
+    for name, document in documents.items():
+        ser.dump_json(str(out / f"{name}.json"), document)
+    return {name: str(out / f"{name}.json") for name in documents}
+
+
 class TestEnumPf:
     def test_two_party_reduced(self):
         proc = run_cli("enum-pf", "--parties", "2", "--alphabet", "2", "--reduced")
@@ -411,22 +443,59 @@ class TestEnumPf:
         data = report(proc)
         assert data["result"]["count"] == 12
 
-    def test_default_caps_stop_four_binary_parties_at_once(self):
-        # 2^32 reduced candidates equal CANDIDATE_CAP; the survey's work estimate stops it
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # 2^32 reduced candidates equal CANDIDATE_CAP; the survey's work estimate stops it
+            (["enum-pf", "--parties", "4", "--alphabet", "2", "--reduced"],
+             "the survey needs about 17592186044416 steps (4294967296 candidates x "
+             "256 output choices x 16 joint inputs), above the work cap 10000000000"),
+            # the candidate count is read from the scenario, before any candidate table exists
+            (["enum-pf", "--parties", "5", "--alphabet", "2"],
+             "at least 2^160 candidates exceed the cap 4294967296"),
+            (["enum-pf", "--parties", "6", "--alphabet", "2", "--reduced"],
+             "at least 2^192 candidates exceed the cap 4294967296"),
+            (["enum-pf", "--parties", "300", "--alphabet", "2"],
+             f"at least 2^{300 * 2**300} candidates exceed the cap 4294967296"),
+            (["bound", "--game", "{six_party}", "--set", "dc"],
+             "at least 2^192 candidates exceed the cap 4294967296"),
+            # the DC search builds no output-choice table (2^30 maps of 30 inputs) before a cap
+            (["bound", "--game", "{thirty_inputs}", "--set", "dc"],
+             "the survey needs about 57982058496000 steps (900 candidates x 2147483648 output "
+             "choices x 30 joint inputs), above the work cap 10000000000"),
+        ],
+        ids=["four-binary", "five-binary", "six-binary-reduced", "300-binary", "six-party-dc",
+             "thirty-inputs-dc"],
+    )
+    def test_default_caps_stop_four_binary_parties_at_once(self, oversized_files, args, message):
         started = time.monotonic()
         proc = subprocess.run(
-            [sys.executable, "-m", "causelab", "enum-pf", "--parties", "4", "--alphabet", "2",
-             "--reduced"],
+            [sys.executable, "-c", LIMITED_CLI, *(a.format(**oversized_files) for a in args)],
             capture_output=True, text=True, timeout=30,
         )
-        assert time.monotonic() - started < 1.0
-        assert proc.returncode == 3
+        assert time.monotonic() - started < (1.0 if args[2] == "4" else 2.0)  # four parties: 1 s
+        assert proc.returncode == 3, proc.stderr
         assert proc.stdout == ""
         (line,) = proc.stderr.splitlines()
-        assert json.loads(line) == {
-            "error": "SearchSpaceTooLarge",
-            "message": "the survey needs about 17592186044416 steps (4294967296 candidates x "
-            "256 output choices x 16 joint inputs), above the work cap 10000000000",
+        assert json.loads(line) == {"error": "SearchSpaceTooLarge", "message": message}
+
+    def test_classify_reports_unknown_dc_before_building_output_choices(self, oversized_files):
+        started = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-c", LIMITED_CLI, "classify", oversized_files["thirty_correlation"]],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert time.monotonic() - started < 2.0
+        assert proc.returncode == 0, proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert list(json.loads(line)) == ["runtime_ms"]
+        assert report(proc)["result"]["dc"] == {
+            "status": "unknown",
+            "certificate": {
+                "downgraded": "vertex enumeration needs 2147483648 steps per distinct "
+                "fixed-point row (2147483648 outcome-map families x 1 settings), above the "
+                "work cap 20000000"
+            },
         }
 
     def test_cap_exceeded_exit_code(self):

@@ -10,10 +10,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
+from scipy.optimize import linprog
 
 from causelab import (
     Correlation,
+    Scenario,
     evaluate_correlation,
     make_scenario,
     quasiprocess_from_function,
@@ -23,8 +25,10 @@ from causelab.consistency import (
     CANDIDATE_CAP,
     OutputChoice,
     _survey_cached,
+    enumerate_output_choices,
     enumerate_process_functions,
     fixed_points,
+    is_logically_consistent,
 )
 from causelab.errors import CapExceeded, ScenarioMismatch, SearchSpaceTooLarge
 from causelab.games import (
@@ -46,7 +50,7 @@ from causelab.games import (
     score,
 )
 from causelab import lp as lp_module
-from causelab.scenario import flatten
+from causelab.scenario import canonical_scenario, flatten
 
 from conftest import random_correlation, random_guessing_game
 
@@ -518,6 +522,65 @@ class TestPcBound:
         monkeypatch.setattr(games_module, "lp_solve", solve)
         with pytest.raises(Solved if admitted else SearchSpaceTooLarge):
             pc_bound_canonical.__wrapped__(game)
+
+
+WEIGHTED_SCENARIOS = [make_scenario(2, 2, 2, 2, 2), Scenario((2, 3), (3, 2), (2, 2), (2, 2))]
+
+
+@st.composite
+def weighted_games(draw):
+    """Signed rational payoffs and a setting distribution with at least one zero weight."""
+    sc = draw(st.sampled_from(WEIGHTED_SCENARIOS))
+    n_a = sc.n_settings
+    size = sc.n_outcomes * n_a
+    payoff = draw(st.lists(st.fractions(-3, 3, max_denominator=5), min_size=size, max_size=size))
+    raw = draw(st.lists(st.integers(0, 4), min_size=n_a, max_size=n_a))
+    raw[draw(st.integers(0, n_a - 1))] = 0
+    assume(any(raw))
+    return Game(sc, tuple(payoff), tuple(Fraction(w, sum(raw)) for w in raw))
+
+
+class TestWeightedSettings:
+    """Causal, score and PC paths on non-uniform setting weights, zeros included."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(game=weighted_games(), seed=st.integers(0, 2**16))
+    def test_bounds_weight_each_setting(self, game, seed):
+        sc = game.scenario
+        n_a = sc.n_settings
+        phi = [Fraction(0)] * (sc.n_outcomes * n_a)
+        for a_flat in range(n_a):
+            for x_flat in range(sc.n_outcomes):
+                f = x_flat * n_a + a_flat
+                phi[f] = game.setting_dist[a_flat] * game.payoff[f]
+
+        assert causal_bound(game).value == bipartite_causal_oracle(game)
+
+        corr = random_correlation(random.Random(seed), sc)
+        assert score(game, corr) == sum(
+            game.setting_dist[a_flat]
+            * sum(game.payoff[x * n_a + a_flat] * corr.table[x * n_a + a_flat] for x in range(sc.n_outcomes))
+            for a_flat in range(n_a)
+        )
+
+        # the canonical PC LP: p(i|o) >= 0 with unit mass at every output choice
+        canonical = canonical_scenario(sc)
+        rows = []
+        for choice in enumerate_output_choices(canonical):
+            row = np.zeros(len(phi))
+            for i in canonical.input_tuples():
+                o = choice.apply(i)
+                row[flatten(i, canonical.inputs) * n_a + flatten(o, canonical.outputs)] = 1
+            rows.append(row)
+        reference = linprog(
+            -np.array([float(v) for v in phi]), A_eq=np.array(rows), b_eq=np.ones(len(rows)),
+            bounds=(0, None), method="highs",
+        )
+        assert reference.status == 0
+        result = pc_bound_canonical(game)
+        assert abs(float(result.value) + reference.fun) < 1e-9
+        assert is_logically_consistent(result.process).consistent
+        assert score(game, result.process) == result.value
 
 
 class TestMonotonicity:
