@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from . import __version__
 from .consistency import CANDIDATE_CAP, enumerate_process_functions, is_logically_consistent
-from .errors import CapExceeded, CauselabError, InvalidTable, SearchSpaceTooLarge
+from .errors import CauselabError, InvalidTable, SearchSpaceTooLarge
 from .games import (
     ClassLabel,
     builtin_game,
@@ -111,14 +111,14 @@ def _emit(args, command: str, config: dict, result: dict) -> None:
 
 def _cmd_check_consistency(args) -> int:
     qp = serialize.quasiprocess_from_json(serialize.load_json(args.process))
-    verdict = is_logically_consistent(qp, cap=args.cap_candidates)
+    verdict = is_logically_consistent(qp)
     result = {"consistent": verdict.consistent}
     lines = []
     if verdict.consistent:
         lines.append("consistent: unit mass at every deterministic output choice")
     else:
         result["certificate"] = {
-            "output_choice": [list(m) for m in verdict.violation.maps],
+            "output_choice": verdict.violation.maps,
             "total_mass": verdict.violation_mass,
         }
         lines.append(
@@ -140,7 +140,7 @@ def _cmd_enum_pf(args) -> int:
     result = {
         "scenario": serialize.scenario_to_json(scenario),
         "count": len(functions),
-        "functions": [[list(c) for c in fn.maps] for fn in functions],
+        "functions": [fn.maps for fn in functions],
         "lines": [f"{len(functions)} process functions"],
     }
     _emit(
@@ -163,19 +163,13 @@ def _cmd_bound(args) -> int:
         witness = {
             "process_function": serialize.process_function_to_json(res.witness_function),
             "intervention": {
-                "output_maps": [
-                    [list(per_a) for per_a in maps]
-                    for maps in res.witness_intervention.output_maps
-                ],
-                "outcome_maps": [
-                    [list(per_a) for per_a in maps]
-                    for maps in res.witness_intervention.outcome_maps
-                ],
+                "output_maps": res.witness_intervention.output_maps,
+                "outcome_maps": res.witness_intervention.outcome_maps,
             },
             "functions_searched": res.functions_searched,
         }
     else:
-        res = pc_bound_canonical(game, choice_cap=args.cap_candidates)
+        res = pc_bound_canonical(game)
         value = res.value
         witness = {"process": serialize.quasiprocess_to_json(res.process)}
 
@@ -212,7 +206,7 @@ def _verdicts_to_json(label: ClassLabel) -> dict:
                     if w != 0
                 ]
             elif key == "violating_choice":
-                cert[key] = None if value is None else [list(m) for m in value.maps]
+                cert[key] = value.maps
             else:
                 cert[key] = _jsonify(value)
         out["certificate"] = cert
@@ -321,7 +315,7 @@ def _cmd_hierarchy_demo(args) -> int:
     replay_score = score(gynin, replayed.to_correlation())
     check("gynin-dc-witness", replay_score == dc.value, f"witness replays to {_rat(replay_score)}")
 
-    pc = pc_bound_canonical(gynin, choice_cap=args.cap_candidates)
+    pc = pc_bound_canonical(gynin)
     bfw = bfw_process()
     check("gynin-pc", pc.value == 1, f"pc bound {_rat(pc.value)} (target 1)")
     check("gynin-pc-bfw", pc.process.table == bfw.table, "optimal process equals the cyclic mixture table")
@@ -337,7 +331,7 @@ def _cmd_hierarchy_demo(args) -> int:
     for name, bound_fn, target in (
         ("gyni-causal", lambda: causal_bound(gyni).value, Fraction(1, 2)),
         ("gyni-dc", lambda: dc_bound(gyni, candidate_cap=args.cap_candidates).value, Fraction(1, 2)),
-        ("gyni-pc", lambda: pc_bound_canonical(gyni, choice_cap=args.cap_candidates).value, Fraction(1, 2)),
+        ("gyni-pc", lambda: pc_bound_canonical(gyni).value, Fraction(1, 2)),
     ):
         value = bound_fn()
         check(name, value == target, f"{_rat(value)} (target {_rat(target)})")
@@ -360,7 +354,7 @@ def _cmd_hierarchy_demo(args) -> int:
     )
 
     chsh_dc = dc_bound(chsh, candidate_cap=args.cap_candidates).value
-    chsh_pc = pc_bound_canonical(chsh, choice_cap=args.cap_candidates).value
+    chsh_pc = pc_bound_canonical(chsh).value
     check("chsh-bounds", chsh_dc == Fraction(3, 4) and chsh_pc == Fraction(3, 4), f"dc {_rat(chsh_dc)}, pc {_rat(chsh_pc)}")
     pr_label = classify(pr_box_correlation(), (chsh,), candidate_cap=args.cap_candidates)
     check("pr-box", pr_label.dc.status == "out", f"DC {pr_label.dc.status}")
@@ -490,7 +484,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         code = args.handler(args)
-    except (SearchSpaceTooLarge, CapExceeded) as exc:
+    except SearchSpaceTooLarge as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 3
     except (CauselabError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:

@@ -84,13 +84,8 @@ def output_choice_count(scenario: Scenario) -> int:
     return prod(d_o**d_i for d_o, d_i in zip(scenario.outputs, scenario.inputs))
 
 
-def enumerate_output_choices(
-    scenario: Scenario, cap: int = CANDIDATE_CAP
-) -> Iterator[OutputChoice]:
+def enumerate_output_choices(scenario: Scenario) -> Iterator[OutputChoice]:
     """All deterministic output-map families, lexicographic order."""
-    count = output_choice_count(scenario)
-    if count > cap:
-        raise SearchSpaceTooLarge(f"{count} output choices exceed the cap {cap}")
     per_party = [
         itertools.product(range(d_o), repeat=d_i)
         for d_o, d_i in zip(scenario.outputs, scenario.inputs)
@@ -105,17 +100,14 @@ def _lex_maps(domain: int, alphabet: int) -> np.ndarray:
     return np.arange(alphabet**domain, dtype=np.int64)[:, None] // places % alphabet
 
 
-def _choice_input_to_output_tables(scenario: Scenario, cap: int) -> np.ndarray:
+def _choice_input_to_output_tables(scenario: Scenario) -> np.ndarray:
     """Joint output flat(f(i)) at row c, column i_flat; choices c in lex order.
 
     This one table answers "where does output choice f send joint input i" for
-    the survey, the vertex test and the canonical-PC LP.  The choice count is
-    capped by ``cap`` and the table's cells by ``CHOICE_TABLE_CELL_CAP``
-    before anything is allocated.
+    the survey, the vertex test and the canonical-PC LP.  Its cells are capped
+    by ``CHOICE_TABLE_CELL_CAP`` before anything is allocated.
     """
     count = output_choice_count(scenario)
-    if count > cap:
-        raise SearchSpaceTooLarge(f"{count} output choices exceed the cap {cap}")
     cells = count * scenario.n_inputs
     if cells > CHOICE_TABLE_CELL_CAP:
         raise SearchSpaceTooLarge(
@@ -141,7 +133,7 @@ class ConsistencyVerdict(Record):
     violation_mass: Fraction | None = None
 
 
-def is_logically_consistent(qp: QuasiProcess, cap: int = CANDIDATE_CAP) -> ConsistencyVerdict:
+def is_logically_consistent(qp: QuasiProcess) -> ConsistencyVerdict:
     """Exact vertex test: unit total mass at every deterministic output choice.
 
     On failure the certificate is the violating choice with the smallest total
@@ -152,7 +144,7 @@ def is_logically_consistent(qp: QuasiProcess, cap: int = CANDIDATE_CAP) -> Consi
     Python ints otherwise, so the test is exact.
     """
     sc = qp.scenario
-    cells = _choice_input_to_output_tables(sc, cap) + np.arange(sc.n_inputs) * sc.n_outputs
+    cells = _choice_input_to_output_tables(sc) + np.arange(sc.n_inputs) * sc.n_outputs
     nums, denom = _scaled(qp.table)
     fits = max(map(abs, nums)) * sc.n_inputs < 2**63
     masses = np.array(nums, dtype=np.int64 if fits else object)[cells].sum(axis=1)
@@ -183,16 +175,14 @@ class FunctionVerdict(Record):
     fixed_point_count: int | None = None
 
 
-def is_process_function(
-    omega: QuasiProcessFunction, cap: int = CANDIDATE_CAP
-) -> FunctionVerdict:
+def is_process_function(omega: QuasiProcessFunction) -> FunctionVerdict:
     """Unique-fixed-point test over every output choice.
 
     The failure certificate is the choice with the fewest fixed points (ties
     broken by enumeration order), mirroring :func:`is_logically_consistent`.
     """
     worst: tuple[int, OutputChoice] | None = None
-    for choice in enumerate_output_choices(omega.scenario, cap):
+    for choice in enumerate_output_choices(omega.scenario):
         count = len(fixed_points(omega, choice))
         if count != 1 and (worst is None or count < worst[0]):
             worst = (count, choice)
@@ -268,7 +258,7 @@ def _survey_process_functions(
             f"choices x {scenario.n_inputs} joint inputs), above the work cap {SURVEY_WORK_CAP}"
         )
     axes, _ = _candidate_axes(scenario, reduced)
-    choice_io = _choice_input_to_output_tables(scenario, cap)
+    choice_io = _choice_input_to_output_tables(scenario)
     in_strides = [prod(scenario.inputs[k + 1 :]) for k in range(scenario.n_parties)]
     # Candidate t's component k is axis k's entry at digit t // place[k] % len(axis).
     place = [prod(len(axis) for axis in axes[k + 1 :]) for k in range(len(axes))]

@@ -22,11 +22,7 @@ class NotCanonicalizable(CauselabError):
 
 
 class SearchSpaceTooLarge(CauselabError):
-    """An enumeration would exceed its configured candidate cap."""
-
-
-class CapExceeded(CauselabError):
-    """A vertex or work cap was exceeded; callers may downgrade to witness mode."""
+    """A search, table or LP would exceed one of its caps; the CLI exits 3 on it."""
 
 
 class InvalidMixture(CauselabError):

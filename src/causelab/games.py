@@ -44,7 +44,7 @@ from .consistency import (
     is_logically_consistent,
     output_choice_count,
 )
-from .errors import CapExceeded, InvalidTable, ScenarioMismatch, SearchSpaceTooLarge
+from .errors import InvalidTable, ScenarioMismatch, SearchSpaceTooLarge
 from .lp import LinearProgram, LpStatus, _scaled, check_hull_lp_size, hull_membership, lp_solve
 from .scenario import (
     Correlation,
@@ -422,7 +422,7 @@ class _DcSearch:
             axes_cards = [counts[k] for k in range(self.n) for _ in range(settings[k])]
             n_grid = prod(axes_cards)
             if n_grid * self.n_a > DC_GRID_CAP:
-                raise CapExceeded(
+                raise SearchSpaceTooLarge(
                     f"a class grid has {n_grid * self.n_a} cells ({n_grid} intervention "
                     f"outputs x {self.n_a} settings), above the cap {DC_GRID_CAP}"
                 )
@@ -701,7 +701,7 @@ class PcBoundResult(Record):
 
 
 @lru_cache(maxsize=16)
-def pc_bound_canonical(game: Game, choice_cap: int = CANDIDATE_CAP) -> PcBoundResult:
+def pc_bound_canonical(game: Game) -> PcBoundResult:
     """LP maximum over logically consistent environments, canonical interventions.
 
     Works on the enlarged scenario (inputs = outcome alphabets, outputs =
@@ -724,7 +724,7 @@ def pc_bound_canonical(game: Game, choice_cap: int = CANDIDATE_CAP) -> PcBoundRe
             f"({n_vars} variables + {n_eq} artificials + 1)), above the LP size cap {PC_LP_CAP}"
         )
     eq_rows = []
-    for row in _choice_input_to_output_tables(sc, choice_cap) + np.arange(n_i) * n_o:
+    for row in _choice_input_to_output_tables(sc) + np.arange(n_i) * n_o:
         coeffs = [ZERO] * n_vars
         for cell in row.tolist():
             coeffs[cell] = ONE
@@ -762,25 +762,25 @@ def _deterministic_correlation_vertices(
     as 0/1 int rows in ascending order.  A behaviour is gathered as its joint
     outcome at every joint setting, one per (distinct fixed-point row of the
     DC search, outcome-map family), from the search's own outcome-map tables.
-    Each cap raises :class:`CapExceeded`: one row's gather size against
-    ``DC_WORK_CAP`` before the survey runs, the class grids against
-    ``DC_GRID_CAP`` during the walk, the exact gather size against
-    ``DC_WORK_CAP``, and the distinct behaviours as they grow against the
-    hull LP's size (``lp.check_hull_lp_size``).
+    Each cap raises :class:`SearchSpaceTooLarge`: one row's gather size
+    against ``DC_WORK_CAP`` before the survey runs, the survey's own caps, the
+    class grids against ``DC_GRID_CAP`` during the walk, the exact gather size
+    against ``DC_WORK_CAP``, and the distinct behaviours as they grow against
+    the hull LP's size (``lp.check_hull_lp_size``).
     """
     search = _dc_search(scenario, candidate_cap)
     n_a = scenario.n_settings
     h_grid = prod(search.H)
     per_row = h_grid * n_a
     if per_row > DC_WORK_CAP:
-        raise CapExceeded(
+        raise SearchSpaceTooLarge(
             f"vertex enumeration needs {per_row} steps per distinct fixed-point row "
             f"({h_grid} outcome-map families x {n_a} settings), above the work cap {DC_WORK_CAP}"
         )
     rows = search.rows[0]
     estimate = len(rows) * per_row
     if estimate > DC_WORK_CAP:
-        raise CapExceeded(
+        raise SearchSpaceTooLarge(
             f"vertex enumeration needs {estimate} steps ({len(rows)} distinct fixed-point rows x "
             f"{h_grid} outcome-map families x {n_a} settings), above the work cap {DC_WORK_CAP}"
         )
@@ -826,8 +826,11 @@ def classify(
       Farkas functional and its separation from the vertices.  The vertices
       are gathered from the DC search's distinct fixed-point rows, which the
       witness games' ``dc_bound`` reads too, so the survey is walked once per
-      scenario.  A gather over ``DC_WORK_CAP`` (per row, then exactly),
-      ``DC_GRID_CAP`` or ``lp.HULL_LP_CAP`` stops and reports "unknown".
+      scenario.  Any cap met by the vertex gather or the hull LP reports
+      "unknown" with the cap's message: the survey's candidate and work caps,
+      ``DC_WORK_CAP`` (per row, then exactly), ``DC_GRID_CAP`` or
+      ``lp.HULL_LP_CAP``.  A cap met elsewhere (the PC vertex test's table,
+      a witness game's ``dc_bound``) still raises.
     """
     for witness in witnesses:
         if (
@@ -843,7 +846,7 @@ def classify(
     qc = SetVerdict("in", {"process": process, "interventions": family})
 
     # The universal realization is already the canonical-intervention environment.
-    verdict = is_logically_consistent(process, candidate_cap)
+    verdict = is_logically_consistent(process)
     if verdict.consistent:
         pc = SetVerdict("in", {"process": process, "interventions": family})
     else:
@@ -883,7 +886,7 @@ def classify(
             "separating_functional": result.functional,
             "separation": result.separation,
         }
-    except CapExceeded as exc:
+    except SearchSpaceTooLarge as exc:
         status, certificate = "unknown", {"downgraded": str(exc)}
     for witness in witnesses:
         bound = dc_bound(witness, candidate_cap=candidate_cap)

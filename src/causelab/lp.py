@@ -26,7 +26,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from ._record import Record
-from .errors import CapExceeded, InvalidTable
+from .errors import InvalidTable, SearchSpaceTooLarge
 
 # Coefficients (vertices x (dimension + 1)) of the hull feasibility LP; the
 # exact simplex takes about a second at this size and grows faster than it.
@@ -225,15 +225,15 @@ class HullResult(Record):
 
 
 def check_hull_lp_size(n_vertices: int, dim: int) -> None:
-    """Raise :class:`CapExceeded` when a hull LP over ``n_vertices`` vertices in
-    ``dim`` coordinates (or over more vertices) is above ``HULL_LP_CAP``.
+    """Raise :class:`SearchSpaceTooLarge` when a hull LP over ``n_vertices``
+    vertices in ``dim`` coordinates (or over more vertices) is above ``HULL_LP_CAP``.
 
     The LP has n * (dim + 1) coefficients, above the cap exactly when
     n > HULL_LP_CAP // (dim + 1), so a growing vertex list can be checked as
     it grows.
     """
     if n_vertices > HULL_LP_CAP // (dim + 1):
-        raise CapExceeded(
+        raise SearchSpaceTooLarge(
             f"the hull LP has at least {n_vertices * (dim + 1)} coefficients "
             f"({n_vertices} vertices x {dim + 1} rows), above the LP size cap {HULL_LP_CAP}"
         )
@@ -247,8 +247,8 @@ def hull_membership(point: Sequence, vertices: Sequence[Sequence]) -> HullResult
     phi . point strictly above phi . v for every vertex (checked exactly before
     returning).  An empty vertex list or a row whose length differs from the
     point's raises :class:`InvalidTable`, and a feasibility LP above
-    ``HULL_LP_CAP`` coefficients raises :class:`CapExceeded`, before any entry
-    is converted to a Fraction.
+    ``HULL_LP_CAP`` coefficients raises :class:`SearchSpaceTooLarge`, before
+    any entry is converted to a Fraction.
     """
     if not vertices:
         raise InvalidTable("hull query needs at least one vertex")

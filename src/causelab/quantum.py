@@ -39,6 +39,7 @@ from .scenario import (
     QuasiProcess,
     Scenario,
     canonical_interventions,
+    flatten,
 )
 
 VALIDITY_ATOL = 1e-9
@@ -269,8 +270,6 @@ class NumericCorrelation(Record):
     max_imag_residual: float
 
     def prob(self, x: Sequence[int], a: Sequence[int]) -> float:
-        from .scenario import flatten
-
         sc = self.scenario
         return self.table[flatten(x, sc.outcomes) * sc.n_settings + flatten(a, sc.settings)]
 

@@ -69,16 +69,15 @@ def conditional_table(
     object_cards: Sequence[int],
     conditioner_cards: Sequence[int],
     entry: Callable[[tuple[int, ...], tuple[int, ...]], object],
-) -> tuple[Fraction, ...]:
-    """The table with ``Fraction(entry(obj, cond))`` at ``flat(obj) * n_cond + flat(cond)``.
+) -> tuple:
+    """The table with ``entry(obj, cond)`` at ``flat(obj) * n_cond + flat(cond)``.
 
     ``obj`` and ``cond`` are multi-indices over the two card lists; a boolean
-    rule gives a 0/1 table.
+    rule gives a 0/1 table.  The entries are the rule's values as returned:
+    the record that receives the table converts them to Fractions.
     """
     conditioners = list(iter_tuples(conditioner_cards))
-    return tuple(
-        Fraction(entry(obj, cond)) for obj in iter_tuples(object_cards) for cond in conditioners
-    )
+    return tuple(entry(obj, cond) for obj in iter_tuples(object_cards) for cond in conditioners)
 
 
 class Scenario(Record):
@@ -224,14 +223,6 @@ class Correlation(Record):
         table = _checked_table(self.table, sc.n_outcomes, sc.n_settings, "correlation")
         object.__setattr__(self, "table", table)
 
-    @classmethod
-    def unchecked(cls, scenario: Scenario, table: Sequence[Fraction]) -> "Correlation":
-        """Bypass validation; only for deliberately malformed test tables."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "scenario", scenario)
-        object.__setattr__(obj, "table", tuple(table))
-        return obj
-
     def prob(self, x: Sequence[int], a: Sequence[int]) -> Fraction:
         sc = self.scenario
         return self.table[flatten(x, sc.outcomes) * sc.n_settings + flatten(a, sc.settings)]
@@ -308,7 +299,7 @@ class DeterministicIntervention(Record):
     outcome_maps: tuple[tuple[tuple[int, ...], ...], ...]
 
     def to_family(self, scenario: Scenario) -> InterventionFamily:
-        def party_table(k: int) -> tuple[Fraction, ...]:
+        def party_table(k: int) -> tuple:
             outcome, output = self.outcome_maps[k], self.output_maps[k]
             return conditional_table(
                 (scenario.outcomes[k], scenario.outputs[k]),

@@ -88,6 +88,12 @@ class TestBound:
         assert proc.returncode == 0
         assert report(proc)["result"]["value"] == "3/4"
 
+    def test_candidate_cap_does_not_bound_the_pc_lp(self):
+        # the PC LP has one row per output choice (64 for gynin), not per candidate
+        proc = run_cli("--cap-candidates", "10", "bound", "--game", "gynin", "--set", "pc")
+        assert proc.returncode == 0, proc.stderr
+        assert report(proc)["result"]["value"] == "1"
+
     def test_dc_scoring_cap_exits_three(self, tmp_path, capsys):
         # 688 distinct fixed-point rows, each scored over one party's 65,536
         # outcome maps, the other's 16 slices and 16 joint settings: the
@@ -158,6 +164,17 @@ class TestCheckConsistency:
         ser.dump_json(str(path), ser.quasiprocess_to_json(bfw_process()))
         proc = run_cli("check-consistency", str(path))
         assert proc.returncode == 0
+        assert report(proc)["result"]["consistent"] is True
+
+    def test_candidate_cap_does_not_bound_output_choices(self, tmp_path):
+        # the 64 output choices of the vertex test are not candidate process
+        # functions; the test is bounded by its table's cell cap alone
+        from causelab.games import bfw_process
+
+        path = tmp_path / "bfw.json"
+        ser.dump_json(str(path), ser.quasiprocess_to_json(bfw_process()))
+        proc = run_cli("--cap-candidates", "10", "check-consistency", str(path))
+        assert proc.returncode == 0, proc.stderr
         assert report(proc)["result"]["consistent"] is True
 
     def test_output_choice_table_cap_exits_three(self, tmp_path):
@@ -421,15 +438,18 @@ def test_numeric_requests_leave_numpy_ma_unloaded(statement):
 
 @pytest.fixture(scope="module")
 def oversized_files(tmp_path_factory):
-    """A six-party binary game, and a game and a behaviour whose first party has 30 inputs."""
+    """A six-party binary game, a game and a behaviour whose first party has 30
+    inputs, and the uniform behaviour of four binary parties."""
     out = tmp_path_factory.mktemp("oversized")
     six = make_scenario(6, 2, 2, 2, 2)
     n_a = six.n_settings
+    four = make_scenario(4, 2, 2, 2, 2)
     wide = Scenario(settings=(1, 1), outcomes=(2, 2), inputs=(30, 1), outputs=(2, 2))
     documents = {
         "six_party": ser.game_to_json(Game(six, (0,) * (six.n_outcomes * n_a), (Fraction(1, n_a),) * n_a)),
         "thirty_inputs": ser.game_to_json(Game(wide, (1, 0, 0, 0), (1,))),
         "thirty_correlation": ser.correlation_to_json(Correlation(wide, (Fraction(1, 4),) * 4)),
+        "four_uniform": ser.correlation_to_json(Correlation(four, (Fraction(1, 16),) * 256)),
     }
     for name, document in documents.items():
         ser.dump_json(str(out / f"{name}.json"), document)
@@ -495,6 +515,27 @@ class TestEnumPf:
                 "downgraded": "vertex enumeration needs 2147483648 steps per distinct "
                 "fixed-point row (2147483648 outcome-map families x 1 settings), above the "
                 "work cap 20000000"
+            },
+        }
+
+    def test_classify_reports_unknown_dc_at_the_survey_cap(self, oversized_files):
+        # the survey's work cap stops the vertex gather: DC alone is "unknown",
+        # and the qC and PC verdicts are still reported
+        started = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-c", LIMITED_CLI, "classify", oversized_files["four_uniform"]],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert time.monotonic() - started < 2.0
+        assert proc.returncode == 0, proc.stderr
+        result = report(proc)["result"]
+        assert (result["qc"]["status"], result["pc"]["status"]) == ("in", "in")
+        assert result["dc"] == {
+            "status": "unknown",
+            "certificate": {
+                "downgraded": "the survey needs about 17592186044416 steps (4294967296 "
+                "candidates x 256 output choices x 16 joint inputs), above the work cap "
+                "10000000000"
             },
         }
 

@@ -60,10 +60,6 @@ class TestOutputChoices:
         sc = make_scenario(3, 2, 2, 1, 1)
         assert len(list(enumerate_output_choices(sc))) == 1
 
-    def test_cap(self, gynin_scenario):
-        with pytest.raises(SearchSpaceTooLarge):
-            list(enumerate_output_choices(gynin_scenario, cap=63))
-
 
 class TestLogicalConsistency:
     def test_identity_loop_certificate_is_negation(self, single_scenario):

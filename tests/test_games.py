@@ -30,7 +30,7 @@ from causelab.consistency import (
     fixed_points,
     is_logically_consistent,
 )
-from causelab.errors import CapExceeded, ScenarioMismatch, SearchSpaceTooLarge
+from causelab.errors import ScenarioMismatch, SearchSpaceTooLarge
 from causelab.games import (
     Game,
     _deterministic_correlation_vertices,
@@ -448,7 +448,7 @@ class TestDcBound:
         # it gathers rows
         monkeypatch.setattr(games_module, "DC_GRID_CAP", 511)
         monkeypatch.setattr(games_module, "_dc_search", games_module._DcSearch)
-        with pytest.raises(CapExceeded) as refused:
+        with pytest.raises(SearchSpaceTooLarge) as refused:
             dc_bound.__wrapped__(builtin_gynin())
         assert str(refused.value) == (
             "a class grid has 512 cells (64 intervention outputs x 8 settings), above the cap 511"
@@ -753,7 +753,7 @@ class TestClassify:
 
         monkeypatch.setattr(games_module, "_survey_cached", no_survey)
         started = time.monotonic()
-        with pytest.raises(CapExceeded) as refused:
+        with pytest.raises(SearchSpaceTooLarge) as refused:
             _deterministic_correlation_vertices.__wrapped__(
                 make_scenario(2, 20, 2, 2, 2), CANDIDATE_CAP
             )
@@ -823,7 +823,7 @@ class TestClassify:
         monkeypatch.setattr(lp_module, "HULL_LP_CAP", 170)
         monkeypatch.setattr(games_module, "DC_BATCH_CELLS", 1024)
         gather = _deterministic_correlation_vertices.__wrapped__
-        with pytest.raises(CapExceeded) as stopped:
+        with pytest.raises(SearchSpaceTooLarge) as stopped:
             gather(make_scenario(2, 2, 2, 2, 2), CANDIDATE_CAP)
         message = str(stopped.value)
         seen = int(message.split("(")[1].split(" vertices")[0])

@@ -13,7 +13,7 @@ from causelab import (
     lp_solve,
 )
 from causelab import lp as lp_module
-from causelab.errors import CapExceeded, InvalidTable
+from causelab.errors import InvalidTable, SearchSpaceTooLarge
 from causelab.games import (
     builtin_gynin,
     builtin_ocb,
@@ -255,7 +255,9 @@ class TestHullMembership:
         # numbers still meet the cap rather than a conversion error.
         monkeypatch.setattr(lp_module, "HULL_LP_CAP", 12)
         assert hull_membership((0, 0), tuple((i, 0) for i in range(4))).inside
-        with pytest.raises(CapExceeded, match=r"at least 15 coefficients \(5 vertices x 3 rows\)"):
+        with pytest.raises(
+            SearchSpaceTooLarge, match=r"at least 15 coefficients \(5 vertices x 3 rows\)"
+        ):
             hull_membership((0, 0), (("not a number", 0),) * 5)
 
     def test_empty_or_ragged_vertices_rejected(self):
