@@ -10,13 +10,14 @@ cannot be read), 3 a cap was exceeded.
 
 Importing this module imports every causelab module but not numpy: the
 numeric modules take ``np`` from ``causelab._lazy``, which loads numpy on the
-first numeric call.  Causal bounds, rejected inputs and surveys that a cap
-stops before they start exit without it.  The output-choice table (behind the
-process-function survey, the consistency vertex test and the PC LP rows), the
-DC search and every process-matrix command load it.  The import generates no
-code either: the value types are ``causelab._record.Record`` subclasses, so the
-standard library's code-generation and introspection modules (``inspect``,
-``ast``, ``dis``, ``tokenize``) stay unloaded.
+first numeric call.  Causal and PC bounds, ``check-consistency``, rejected
+inputs and surveys that a cap stops before they start exit without it: the
+vertex test and the PC LP rows are exact Python-integer code.  The
+process-function survey, the DC search and every process-matrix command load
+it.  The import generates no code either: the value types are
+``causelab._record.Record`` subclasses, so the standard library's
+code-generation and introspection modules (``inspect``, ``ast``, ``dis``,
+``tokenize``) stay unloaded.
 """
 
 from __future__ import annotations

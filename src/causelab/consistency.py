@@ -24,6 +24,7 @@ therefore complete; the unreduced mode remains available for cross-checks.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -34,7 +35,7 @@ from ._lazy import np
 from ._record import Record
 from .errors import InvalidMixture, SearchSpaceTooLarge
 from .lp import _scaled
-from .scenario import QuasiProcess, Scenario, conditional_table, flatten, iter_tuples
+from .scenario import QuasiProcess, Scenario, conditional_table, flatten, iter_tuples, unflatten
 
 CANDIDATE_CAP = 2**32
 # Survey steps (candidates x output choices x joint inputs) allowed in one
@@ -42,8 +43,8 @@ CANDIDATE_CAP = 2**32
 SURVEY_WORK_CAP = 10**10
 # Gathered (candidate, choice, input) cells held at once by the survey.
 SURVEY_BATCH_ELEMENTS = 1 << 16
-# Cells (output choices x joint inputs) of the output-choice table: 8 bytes
-# each, and the PC LP walks every cell in Python.
+# Output choices x joint inputs: the cells of the survey's output-choice table
+# (8 bytes each), and a bound on the vertex test's Python-integer additions.
 CHOICE_TABLE_CELL_CAP = 1 << 22
 
 
@@ -100,13 +101,8 @@ def _lex_maps(domain: int, alphabet: int) -> np.ndarray:
     return np.arange(alphabet**domain, dtype=np.int64)[:, None] // places % alphabet
 
 
-def _choice_input_to_output_tables(scenario: Scenario) -> np.ndarray:
-    """Joint output flat(f(i)) at row c, column i_flat; choices c in lex order.
-
-    This one table answers "where does output choice f send joint input i" for
-    the survey, the vertex test and the canonical-PC LP.  Its cells are capped
-    by ``CHOICE_TABLE_CELL_CAP`` before anything is allocated.
-    """
+def _check_choice_cells(scenario: Scenario) -> None:
+    """Raise before the output-choice table or the vertex test's work outgrows its cap."""
     count = output_choice_count(scenario)
     cells = count * scenario.n_inputs
     if cells > CHOICE_TABLE_CELL_CAP:
@@ -114,6 +110,15 @@ def _choice_input_to_output_tables(scenario: Scenario) -> np.ndarray:
             f"the output-choice table needs {cells} cells ({count} output choices x "
             f"{scenario.n_inputs} joint inputs), above the cap {CHOICE_TABLE_CELL_CAP}"
         )
+
+
+def _choice_input_to_output_tables(scenario: Scenario) -> np.ndarray:
+    """Joint output flat(f(i)) at row c, column i_flat; choices c in lex order.
+
+    The survey's table of where output choice f sends joint input i.  Its
+    cells are capped by ``CHOICE_TABLE_CELL_CAP`` before anything is allocated.
+    """
+    _check_choice_cells(scenario)
     n = scenario.n_parties
     table = np.zeros((1,) * (2 * n), dtype=np.int64)
     stride = 1
@@ -124,7 +129,49 @@ def _choice_input_to_output_tables(scenario: Scenario) -> np.ndarray:
         shape[k], shape[n + k] = maps.shape
         table = table + maps.reshape(shape) * stride
         stride *= d_o
-    return table.reshape(count, scenario.n_inputs)
+    return table.reshape(output_choice_count(scenario), scenario.n_inputs)
+
+
+def _add_vectors(x: list[int], y: list[int]) -> list[int]:
+    return list(map(operator.add, x, y))
+
+
+def _choice_masses(scenario: Scenario, nums: Sequence[int]) -> list[int]:
+    """sum_i nums[flat(i), flat(f(i))] at every output choice f, lex order.
+
+    The table is laid out party by party, (i_0, o_0, ..., i_{N-1}, o_{N-1}),
+    and contracted from the last party back.  At party k each block of fixed
+    earlier (i, o) holds one entry per (i_k, o_k): a scalar for the last
+    party, otherwise a vector over the later parties' choices.  The sums under
+    party k's maps are built one input digit at a time, input 0 most
+    significant, and concatenated in map order, so after party 0 one list
+    holds every choice's mass in lex order.
+    """
+    n_o = scenario.n_outputs
+    alphabets = list(zip(scenario.inputs, scenario.outputs))
+    offsets = [0]
+    for k, (d_i, d_o) in enumerate(alphabets):
+        i_place, o_place = prod(scenario.inputs[k + 1 :]) * n_o, prod(scenario.outputs[k + 1 :])
+        offsets = [
+            base + v * i_place + w * o_place
+            for base in offsets
+            for v in range(d_i)
+            for w in range(d_o)
+        ]
+    state: list = [nums[j] for j in offsets]
+    scalars = True  # until the last party is contracted
+    for d_i, d_o in reversed(alphabets):
+        add = operator.add if scalars else _add_vectors
+        blocks = []
+        for start in range(0, len(state), d_i * d_o):
+            sums = state[start : start + d_o]
+            for v in range(1, d_i):
+                row = state[start + v * d_o : start + (v + 1) * d_o]
+                sums = [add(s, x) for s in sums for x in row]
+            blocks.append(sums if scalars else list(itertools.chain.from_iterable(sums)))
+        state, scalars = blocks, False
+    (masses,) = state
+    return masses
 
 
 class ConsistencyVerdict(Record):
@@ -139,23 +186,20 @@ def is_logically_consistent(qp: QuasiProcess) -> ConsistencyVerdict:
     On failure the certificate is the violating choice with the smallest total
     mass (ties broken by enumeration order), so a grandfather-style violation
     (mass 0) is preferred over an over-counting one.  Masses are sums of
-    integer numerators over the table's common denominator, gathered through
-    the output-choice table; they are int64 when no sum can overflow and
-    Python ints otherwise, so the test is exact.
+    integer numerators over the table's common denominator, contracted one
+    party at a time in Python integers, so the test is exact.  Its work is
+    bounded by ``CHOICE_TABLE_CELL_CAP``, checked first.
     """
     sc = qp.scenario
-    cells = _choice_input_to_output_tables(sc) + np.arange(sc.n_inputs) * sc.n_outputs
+    _check_choice_cells(sc)
     nums, denom = _scaled(qp.table)
-    fits = max(map(abs, nums)) * sc.n_inputs < 2**63
-    masses = np.array(nums, dtype=np.int64 if fits else object)[cells].sum(axis=1)
-    bad = np.flatnonzero(masses != denom)
-    if not len(bad):
+    masses = _choice_masses(sc, nums)
+    worst = min(masses)
+    if worst == denom:  # every p(.|o) is normalized, so the masses average to denom
         return ConsistencyVerdict(True)
-    c = bad[np.argmin(masses[bad])]  # the first smallest mass
-    alphabets = list(zip(sc.outputs, sc.inputs))
-    digits = np.unravel_index(c, [d_o**d_i for d_o, d_i in alphabets])  # per-party lex index
-    maps = tuple(tuple(_lex_maps(d_i, d_o)[m].tolist()) for m, (d_o, d_i) in zip(digits, alphabets))
-    return ConsistencyVerdict(False, OutputChoice(maps), Fraction(int(masses[c]), denom))
+    digits = unflatten(masses.index(worst), [d_o**d_i for d_o, d_i in zip(sc.outputs, sc.inputs)])
+    maps = tuple(unflatten(m, (d_o,) * d_i) for m, d_o, d_i in zip(digits, sc.outputs, sc.inputs))
+    return ConsistencyVerdict(False, OutputChoice(maps), Fraction(worst, denom))
 
 
 def fixed_points(
@@ -178,17 +222,15 @@ class FunctionVerdict(Record):
 def is_process_function(omega: QuasiProcessFunction) -> FunctionVerdict:
     """Unique-fixed-point test over every output choice.
 
-    The failure certificate is the choice with the fewest fixed points (ties
-    broken by enumeration order), mirroring :func:`is_logically_consistent`.
+    This is the vertex test of the 0/1 table p(i|o) = [i = w(o)], whose mass
+    at a choice is its number of fixed points; so the failure certificate is
+    the choice with the fewest fixed points (ties broken by enumeration
+    order), as in :func:`is_logically_consistent`.
     """
-    worst: tuple[int, OutputChoice] | None = None
-    for choice in enumerate_output_choices(omega.scenario):
-        count = len(fixed_points(omega, choice))
-        if count != 1 and (worst is None or count < worst[0]):
-            worst = (count, choice)
-    if worst is None:
+    verdict = is_logically_consistent(quasiprocess_from_function(omega))
+    if verdict.consistent:
         return FunctionVerdict(True)
-    return FunctionVerdict(False, worst[1], worst[0])
+    return FunctionVerdict(False, verdict.violation, int(verdict.violation_mass))
 
 
 def _reduced_projection(scenario: Scenario, k: int) -> tuple[int, ...]:

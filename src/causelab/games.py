@@ -38,9 +38,9 @@ from ._record import Record
 from .consistency import (
     CANDIDATE_CAP,
     QuasiProcessFunction,
-    _choice_input_to_output_tables,
     _lex_maps,
     _survey_cached,
+    enumerate_output_choices,
     is_logically_consistent,
     output_choice_count,
 )
@@ -55,6 +55,8 @@ from .scenario import (
     canonical_scenario,
     conditional_table,
     evaluate_correlation,
+    flatten,
+    iter_tuples,
     make_scenario,
     universal_realization,
 )
@@ -723,11 +725,12 @@ def pc_bound_canonical(game: Game) -> PcBoundResult:
             f"the canonical PC LP has {size} tableau coefficients ({n_eq} equality rows x "
             f"({n_vars} variables + {n_eq} artificials + 1)), above the LP size cap {PC_LP_CAP}"
         )
+    inputs = list(iter_tuples(sc.inputs))
     eq_rows = []
-    for row in _choice_input_to_output_tables(sc) + np.arange(n_i) * n_o:
+    for choice in enumerate_output_choices(sc):
         coeffs = [ZERO] * n_vars
-        for cell in row.tolist():
-            coeffs[cell] = ONE
+        for i_flat, i in enumerate(inputs):
+            coeffs[i_flat * n_o + flatten(choice.apply(i), sc.outputs)] = ONE
         eq_rows.append((tuple(coeffs), ONE))
     # the canonical scenario's (i, o) layout is the game's (x, a) layout
     solution = lp_solve(LinearProgram(objective=game.phi, maximize=True, eq=tuple(eq_rows)))
@@ -829,8 +832,9 @@ def classify(
       scenario.  Any cap met by the vertex gather or the hull LP reports
       "unknown" with the cap's message: the survey's candidate and work caps,
       ``DC_WORK_CAP`` (per row, then exactly), ``DC_GRID_CAP`` or
-      ``lp.HULL_LP_CAP``.  A cap met elsewhere (the PC vertex test's table,
-      a witness game's ``dc_bound``) still raises.
+      ``lp.HULL_LP_CAP``.  A witness game whose ``dc_bound`` meets a cap is
+      skipped, leaving the verdict as the hull step gave it.  A cap met by the
+      PC vertex test still raises.
     """
     for witness in witnesses:
         if (
@@ -889,7 +893,10 @@ def classify(
     except SearchSpaceTooLarge as exc:
         status, certificate = "unknown", {"downgraded": str(exc)}
     for witness in witnesses:
-        bound = dc_bound(witness, candidate_cap=candidate_cap)
+        try:
+            bound = dc_bound(witness, candidate_cap=candidate_cap)
+        except SearchSpaceTooLarge:
+            continue  # this witness cannot decide; the hull step's verdict stands
         value = score(witness, corr)
         if value > bound.value:
             status = "out"

@@ -177,6 +177,21 @@ class TestCheckConsistency:
         assert proc.returncode == 0, proc.stderr
         assert report(proc)["result"]["consistent"] is True
 
+    def test_largest_table_under_the_cell_cap_fits_in_two_gib(self, tmp_path):
+        # one party, 2 inputs and 1448 outputs: 2,096,704 output choices x 2
+        # joint inputs, within 0.03 % of CHOICE_TABLE_CELL_CAP; the vertex test
+        # holds a Python integer mass per choice
+        sc = make_scenario(1, 1, 1, 2, 1448)
+        path = tmp_path / "edge.json"
+        uniform = (Fraction(1, 2),) * (sc.n_inputs * sc.n_outputs)
+        ser.dump_json(str(path), ser.quasiprocess_to_json(QuasiProcess(sc, uniform)))
+        proc = subprocess.run(
+            [sys.executable, "-c", LIMITED_CLI, "check-consistency", str(path)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert report(proc)["result"]["consistent"] is True
+
     def test_output_choice_table_cap_exits_three(self, tmp_path):
         # 3 parties with 4-dim systems: 2^24 output choices x 64 joint inputs would
         # ask numpy for 8 GiB; a child under a 2 GiB address-space limit must exit 3
@@ -307,16 +322,19 @@ class TestBadInput:
         assert json.loads(line)["error"] == "IsADirectoryError"
 
 
-# Commands that reach no array: a causal bound, a rejected game name, and a
+# Commands that reach no array: a causal bound, the canonical PC bounds (exact
+# LP rows from the output-choice enumeration), a rejected game name, and a
 # survey that its work cap stops before it starts.
 LEAN_COMMANDS = pytest.mark.parametrize(
     "args, code",
     [
         (("bound", "--game", "chsh", "--set", "causal"), 0),
+        *((("bound", "--game", game, "--set", "pc"), 0) for game in ("chsh", "gyni", "gynin", "ocb")),
         (("bound", "--game", "no-such-game", "--set", "dc"), 2),
         (("enum-pf", "--parties", "4", "--alphabet", "2", "--reduced"), 3),
     ],
-    ids=["causal-bound", "unknown-game", "four-party-cap"],
+    ids=["causal-bound", "pc-chsh", "pc-gyni", "pc-gynin", "pc-ocb", "unknown-game",
+         "four-party-cap"],
 )
 
 NUMPY_PROBE = """
@@ -366,6 +384,16 @@ class TestNumpyLoadsOnFirstUse:
     @LEAN_COMMANDS
     def test_lean_command(self, args, code):
         assert self.probe(*args) == (code, False)
+
+    def test_vertex_test_of_a_consistent_file(self, tmp_path):
+        from causelab.games import bfw_process
+
+        path = tmp_path / "bfw.json"
+        ser.dump_json(str(path), ser.quasiprocess_to_json(bfw_process()))
+        assert self.probe("check-consistency", path) == (0, False)
+
+    def test_vertex_test_of_an_inconsistent_file(self, grandfather_file):
+        assert self.probe("check-consistency", grandfather_file) == (1, False)
 
     def test_dc_search_loads_numpy(self):
         assert self.probe("bound", "--game", "gynin", "--set", "dc") == (0, True)
@@ -581,6 +609,19 @@ class TestClassify:
             "certificate": {"witness": "gyni", "score": "1", "known_pc_bound": "1/2"},
         }
         assert result["dc"]["status"] == "out"
+
+    def test_capped_witness_leaves_the_hull_verdict(self, tmp_path, capsys):
+        # gyni's 16 reduced candidates meet a candidate cap of 10 in the hull
+        # step and again in the witness's dc_bound; a witness that cannot
+        # decide leaves the report as it is without the witness
+        path = tmp_path / "gyni-perfect.json"
+        ser.dump_json(str(path), ser.correlation_to_json(gyni_perfect_correlation()))
+        assert main(["--cap-candidates", "10", "classify", str(path), "--witness", "gyni"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert main(["--cap-candidates", "10", "classify", str(path)]) == 0
+        assert result == json.loads(capsys.readouterr().out)["result"]
+        assert [result[s]["status"] for s in ("qc", "pc", "dc")] == ["in", "unknown", "unknown"]
+        assert result["dc"]["certificate"] == {"downgraded": "16 candidates exceed the cap 10"}
 
     def test_missing_file_is_bad_input(self):
         proc = run_cli("classify", "/nonexistent/corr.json")

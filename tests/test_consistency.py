@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from causelab import (
     ProcessFunctionMixture,
     QuasiProcess,
     QuasiProcessFunction,
+    Scenario,
     enumerate_output_choices,
     enumerate_process_functions,
     fixed_points,
@@ -19,9 +21,15 @@ from causelab import (
     mixture_process,
     quasiprocess_from_function,
 )
-from causelab.consistency import CANDIDATE_CAP, ConsistencyVerdict, _survey_process_functions
+from causelab.consistency import (
+    CANDIDATE_CAP,
+    ConsistencyVerdict,
+    FunctionVerdict,
+    _survey_process_functions,
+)
 from causelab.errors import InvalidMixture, SearchSpaceTooLarge
 from causelab.games import bfw_process
+from causelab.lp import _scaled
 from causelab.scenario import flatten
 
 from conftest import identity_loop
@@ -79,12 +87,14 @@ class TestLogicalConsistency:
                 table[i_flat * 4 + o_flat] = weights[i_flat]
         assert is_logically_consistent(QuasiProcess(gyni_scenario, tuple(table))).consistent
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(data=st.data())
     def test_matches_a_fraction_sum_oracle(self, data):
         """Mixtures of process functions (consistent) and random tables (mostly
-        not); the scale puts some denominators above 2^64, past int64 sums."""
-        sc = make_scenario(*data.draw(st.sampled_from(VERTEX_TEST_SCENARIOS)))
+        not) on one to three parties with asymmetric and trivial alphabets; the
+        verdict, the violating choice and its mass must all match.  The scale
+        puts some numerators x joint inputs above 2^63, past int64 sums."""
+        sc = data.draw(st.sampled_from(VERTEX_TEST_SCENARIOS))
         scale = data.draw(st.sampled_from([1, 3, 2**64 + 1]))
 
         def split(counts):
@@ -109,11 +119,46 @@ class TestLogicalConsistency:
             qp = QuasiProcess(sc, tuple(table))
         verdict = is_logically_consistent(qp)
         event(f"consistent: {verdict.consistent}")
+        event(f"past int64: {past_int64(qp)}")
         assert verdict == fraction_sum_vertex_test(qp)
 
+    @pytest.mark.parametrize("consistent", [True, False])
+    def test_sums_past_int64_stay_exact(self, gyni_scenario, consistent):
+        # a constant function at weight 1/(2^64 + 1) mixed with a one-way
+        # function or with the swap loop, which has no fixed point at some
+        # choice: numerators near 2^64 overflow any fixed-width mass
+        small = Fraction(1, 2**64 + 1)
+        constant = QuasiProcessFunction(gyni_scenario, ((0,) * 4, (0,) * 4))
+        second = QuasiProcessFunction(
+            gyni_scenario, ((0, 0, 0, 0) if consistent else (0, 1, 0, 1), (0, 0, 1, 1))
+        )
+        pairs = zip(*(quasiprocess_from_function(fn).table for fn in (constant, second)))
+        qp = QuasiProcess(gyni_scenario, tuple(small * a + (1 - small) * b for a, b in pairs))
+        assert past_int64(qp)
+        verdict = is_logically_consistent(qp)
+        assert verdict == fraction_sum_vertex_test(qp)
+        assert verdict.consistent is consistent
 
-# (parties, settings, outcomes, inputs, outputs); only inputs and outputs matter here
-VERTEX_TEST_SCENARIOS = [(2, 1, 1, 2, 2), (3, 1, 1, 2, 2), (2, 1, 1, 3, 2)]
+
+def past_int64(qp) -> bool:
+    nums, _ = _scaled(qp.table)
+    return max(nums) * qp.scenario.n_inputs >= 2**63
+
+
+def _inputs_outputs(inputs, outputs) -> Scenario:
+    # only inputs and outputs matter to the vertex test
+    return Scenario((1,) * len(inputs), (1,) * len(inputs), inputs, outputs)
+
+
+VERTEX_TEST_SCENARIOS = [
+    _inputs_outputs((3,), (2,)),
+    _inputs_outputs((2, 2), (2, 2)),
+    _inputs_outputs((3, 3), (2, 2)),
+    _inputs_outputs((2, 2), (2, 4)),  # the ocb game's canonical scenario
+    _inputs_outputs((2, 3), (1, 2)),
+    _inputs_outputs((2, 2, 2), (2, 2, 2)),
+    _inputs_outputs((2, 1, 2), (2, 3, 1)),
+]
 
 
 def fraction_sum_vertex_test(qp) -> ConsistencyVerdict:
@@ -158,12 +203,31 @@ class TestIsProcessFunction:
         assert verdict.violation.maps == ((1, 0),)
         assert verdict.fixed_point_count == 0
 
+    def test_one_way_function_on_four_level_systems_is_fast(self):
+        # 65,536 output choices x 16 joint inputs: one vertex-test contraction
+        sc = make_scenario(2, 1, 1, 4, 4)
+        omega = QuasiProcessFunction(sc, ((0,) * 16, tuple(o // 4 for o in range(16))))
+        started = time.perf_counter()
+        assert is_process_function(omega) == FunctionVerdict(True)
+        assert time.perf_counter() - started < 1.0
+
     def test_two_way_swap_fails(self, gyni_scenario):
         # i_1 = o_2, i_2 = o_1: negation at party 1 with identity at party 2
         omega = QuasiProcessFunction(gyni_scenario, ((0, 1, 0, 1), (0, 0, 1, 1)))
         verdict = is_process_function(omega)
         assert not verdict.is_process_function
         assert verdict.fixed_point_count == 0
+
+
+def fixed_point_count_verdict(omega) -> FunctionVerdict:
+    """Test-local oracle: count :func:`fixed_points` at every output choice;
+    the certificate is the fewest, first in enumeration order."""
+    worst = None
+    for choice in enumerate_output_choices(omega.scenario):
+        count = len(fixed_points(omega, choice))
+        if count != 1 and (worst is None or count < worst[1]):
+            worst = (choice, count)
+    return FunctionVerdict(True) if worst is None else FunctionVerdict(False, *worst)
 
 
 def brute_force_survey(scenario, reduced):
@@ -241,17 +305,15 @@ class TestEnumeration:
             assert is_logically_consistent(quasiprocess_from_function(fn)).consistent
 
     def test_oracle_equivalence_deterministic_tables(self, single_scenario, gyni_scenario):
-        # consistency of the 0/1 table == unique fixed point of the map,
+        # the vertex test of the 0/1 table == a fixed-point count per choice,
         # exhaustively over all unreduced candidates (4 and 256 cases)
-        for sc, reps in ((single_scenario, 1), (gyni_scenario, 2)):
+        for sc in (single_scenario, gyni_scenario):
             domain = sc.n_outputs
             for maps in itertools.product(
                 itertools.product(range(2), repeat=domain), repeat=sc.n_parties
             ):
                 omega = QuasiProcessFunction(sc, maps)
-                table_verdict = is_logically_consistent(quasiprocess_from_function(omega))
-                map_verdict = is_process_function(omega)
-                assert table_verdict.consistent == map_verdict.is_process_function
+                assert is_process_function(omega) == fixed_point_count_verdict(omega)
 
     def test_cap(self, gynin_scenario):
         with pytest.raises(SearchSpaceTooLarge):
