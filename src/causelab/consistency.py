@@ -233,39 +233,24 @@ def is_process_function(omega: QuasiProcessFunction) -> FunctionVerdict:
     return FunctionVerdict(False, verdict.violation, int(verdict.violation_mass))
 
 
-def _reduced_projection(scenario: Scenario, k: int) -> tuple[int, ...]:
-    """Map flat(o) to the flat index of o with party k's component removed."""
-    other_cards = [scenario.outputs[j] for j in range(scenario.n_parties) if j != k]
-    table = []
-    for o in iter_tuples(scenario.outputs):
-        others = tuple(o[j] for j in range(scenario.n_parties) if j != k)
-        table.append(flatten(others, other_cards) if other_cards else 0)
-    return tuple(table)
+def _candidate_axes(scenario: Scenario, reduced: bool) -> tuple[list[np.ndarray], int]:
+    """Per-party candidate component maps, one row each over flat(o), lex order.
 
-
-def _candidate_axes(scenario: Scenario, reduced: bool) -> tuple[list[list[tuple[int, ...]]], int]:
-    """Per-party lists of candidate component maps (full tables over flat(o))."""
-    axes: list[list[tuple[int, ...]]] = []
-    total = 1
-    for k in range(scenario.n_parties):
-        d_i = scenario.inputs[k]
+    Party k's rows are every map range(domain) -> range(d_I_k), read at one
+    projection of the joint outputs onto that domain.  In reduced mode party
+    k's own output axis collapses to size 1, so its components ignore it.
+    Returns the arrays and the candidate count, their product of row counts.
+    """
+    axes = []
+    for k, d_i in enumerate(scenario.inputs):
+        shape = list(scenario.outputs)
         if reduced:
-            projection = _reduced_projection(scenario, k)
-            domain = prod(
-                scenario.outputs[j] for j in range(scenario.n_parties) if j != k
-            )
-            tables = [
-                tuple(values[projection[o_flat]] for o_flat in range(scenario.n_outputs))
-                for values in itertools.product(range(d_i), repeat=domain)
-            ]
-        else:
-            tables = [
-                tuple(values)
-                for values in itertools.product(range(d_i), repeat=scenario.n_outputs)
-            ]
-        axes.append(tables)
-        total *= len(tables)
-    return axes, total
+            shape[k] = 1
+        domain = prod(shape)
+        projection = np.broadcast_to(np.arange(domain).reshape(shape), scenario.outputs)
+        # take, unlike [:, projection], keeps each row contiguous for the survey's gathers
+        axes.append(_lex_maps(domain, d_i).take(projection.reshape(-1), axis=1))
+    return axes, prod(len(axis) for axis in axes)
 
 
 def _survey_process_functions(
@@ -304,21 +289,21 @@ def _survey_process_functions(
     in_strides = [prod(scenario.inputs[k + 1 :]) for k in range(scenario.n_parties)]
     # Candidate t's component k is axis k's entry at digit t // place[k] % len(axis).
     place = [prod(len(axis) for axis in axes[k + 1 :]) for k in range(len(axes))]
-    components = [np.array(axis, dtype=np.int64) * in_strides[k] for k, axis in enumerate(axes)]
+    components = [axis * stride for axis, stride in zip(axes, in_strides)]
     batch = max(1, SURVEY_BATCH_ELEMENTS // choice_io.size)
     identity = np.arange(scenario.n_inputs)
 
-    survivors = []
+    kept, fixed = [], []  # per batch: surviving candidate indices, their fixed points
     for start in range(0, total, batch):
         t = np.arange(start, min(start + batch, total), dtype=np.int64)
         omega = sum(comp[t // place[k] % len(comp)] for k, comp in enumerate(components))
         hits = omega[:, choice_io] == identity
         unique = (hits.sum(axis=2) == 1).all(axis=1)
-        for pos in np.flatnonzero(unique).tolist():
-            index = int(t[pos])
-            maps = tuple(axis[index // place[k] % len(axis)] for k, axis in enumerate(axes))
-            survivors.append((maps, tuple(hits[pos].argmax(axis=1).tolist())))
-    return tuple(survivors)
+        kept.append(t[unique])
+        fixed.append(hits[unique].argmax(axis=2))
+    index = np.concatenate(kept)
+    maps = [map(tuple, ax[index // p % len(ax)].tolist()) for ax, p in zip(axes, place)]
+    return tuple(zip(zip(*maps), map(tuple, np.concatenate(fixed).tolist())))
 
 
 @lru_cache(maxsize=32)

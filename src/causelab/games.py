@@ -820,7 +820,8 @@ def classify(
       environment on the enlarged scenario under canonical interventions, is
       logically consistent.  That test is sufficient, not necessary, so its
       failure alone never yields "out"; only a witness game carrying a known
-      unrestricted bound can.
+      unrestricted bound can.  A cap met by the vertex test reports "unknown"
+      with the cap's message, which such a witness can still move to "out".
     * deterministic-consistency: exact hull membership over the deterministic
       vertex set when the caps allow, otherwise witness mode (reported, never
       silent).  Membership is in the convex hull of deterministic behaviours,
@@ -833,8 +834,7 @@ def classify(
       "unknown" with the cap's message: the survey's candidate and work caps,
       ``DC_WORK_CAP`` (per row, then exactly), ``DC_GRID_CAP`` or
       ``lp.HULL_LP_CAP``.  A witness game whose ``dc_bound`` meets a cap is
-      skipped, leaving the verdict as the hull step gave it.  A cap met by the
-      PC vertex test still raises.
+      skipped, leaving the verdict as the hull step gave it.
     """
     for witness in witnesses:
         if (
@@ -850,19 +850,20 @@ def classify(
     qc = SetVerdict("in", {"process": process, "interventions": family})
 
     # The universal realization is already the canonical-intervention environment.
-    verdict = is_logically_consistent(process)
-    if verdict.consistent:
+    try:
+        verdict = is_logically_consistent(process)
+        pc_unknown = None if verdict.consistent else {
+            "note": "canonical-intervention realization is inconsistent; "
+            "the test is sufficient only",
+            "violating_choice": verdict.violation,
+            "violation_mass": verdict.violation_mass,
+        }
+    except SearchSpaceTooLarge as exc:
+        pc_unknown = {"downgraded": str(exc)}
+    if pc_unknown is None:
         pc = SetVerdict("in", {"process": process, "interventions": family})
     else:
-        pc = SetVerdict(
-            "unknown",
-            {
-                "note": "canonical-intervention realization is inconsistent; "
-                "the test is sufficient only",
-                "violating_choice": verdict.violation,
-                "violation_mass": verdict.violation_mass,
-            },
-        )
+        pc = SetVerdict("unknown", pc_unknown)
         for witness in witnesses:
             if witness.known_pc_bound is None:
                 continue

@@ -24,6 +24,7 @@ validity, 1e-12 for the diagonal bridge) replace exact rationals.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import json
 from fractions import Fraction
@@ -47,6 +48,8 @@ DIAGONAL_ATOL = 1e-12
 # Normalization tuples x matrix entries one validity check may touch; the
 # tuple loop runs about 8e7 entries per second on one core.
 VALIDITY_WORK_CAP = 10**9
+# Entries of all parties' normalization families held at once (16 bytes each).
+VALIDITY_FAMILY_CELL_CAP = 1 << 24
 
 OCB_DATA_RESOURCE = "ocb_process.json"
 OCB_DATA_SHA256 = "3440c3e5128dae57648a37c7cde9f8e34ded33ae04af950731e2b1f9d02784b4"
@@ -83,10 +86,7 @@ def cj_from_kraus(kraus: Sequence[np.ndarray], d_in: int, d_out: int) -> np.ndar
         op = np.asarray(op, dtype=np.complex128)
         if op.shape != (d_out, d_in):
             raise InvalidTable(f"Kraus operator has shape {op.shape}, expected {(d_out, d_in)}")
-        vec = np.zeros(d_in * d_out, dtype=np.complex128)
-        conj = op.conj()
-        for j in range(d_in):
-            vec[j * d_out : (j + 1) * d_out] = conj[:, j]
+        vec = op.conj().T.reshape(-1)
         total += np.outer(vec, vec.conj())
     return total
 
@@ -170,87 +170,66 @@ class ProcessMatrixReport(Record):
     normalization_deviation: float
 
 
-def _hermitian_basis(d: int) -> list[np.ndarray]:
+def _off_diagonal_basis(d: int) -> list[np.ndarray]:
+    """E_pq + E_qp, then i(E_qp - E_pq), for each p < q: the off-diagonal Hermitian units."""
+    eye = np.eye(d)
     mats = []
-    for p in range(d):
-        m = np.zeros((d, d), dtype=np.complex128)
-        m[p, p] = 1.0
-        mats.append(m)
-    for p in range(d):
-        for q in range(p + 1, d):
-            m = np.zeros((d, d), dtype=np.complex128)
-            m[p, q] = m[q, p] = 1.0
-            mats.append(m)
-            m = np.zeros((d, d), dtype=np.complex128)
-            m[p, q] = -1.0j
-            m[q, p] = 1.0j
-            mats.append(m)
-    return mats
-
-
-def _traceless_hermitian_basis(d: int) -> list[np.ndarray]:
-    mats = []
-    for p in range(d - 1):
-        m = np.zeros((d, d), dtype=np.complex128)
-        m[p, p] = 1.0
-        m[p + 1, p + 1] = -1.0
-        mats.append(m)
-    for p in range(d):
-        for q in range(p + 1, d):
-            m = np.zeros((d, d), dtype=np.complex128)
-            m[p, q] = m[q, p] = 1.0
-            mats.append(m)
-            m = np.zeros((d, d), dtype=np.complex128)
-            m[p, q] = -1.0j
-            m[q, p] = 1.0j
-            mats.append(m)
+    for p, q in itertools.combinations(range(d), 2):
+        unit = np.outer(eye[p], eye[q])
+        mats += [unit + unit.T, 1j * (unit.T - unit)]
     return mats
 
 
 def _normalization_family(d_in: int, d_out: int) -> list[np.ndarray]:
     """Affine-spanning family of trace-preserving CJ marginals for one party.
 
-    Base point identity/d_out plus every Hermitian direction with vanishing
-    partial trace over the output; size (d_in*d_out)^2 - d_in^2 + 1.
-    Multilinearity of the trace rule makes checking all tuples from these
-    families equivalent to the universally quantified normalization condition.
+    Base point identity/d_out plus base + h (x) g for every Hermitian h on the
+    input (diagonal units, then off-diagonal units) and every traceless
+    Hermitian g on the output (differences of adjacent diagonal units, then
+    off-diagonal units): size (d_in*d_out)^2 - d_in^2 + 1.  Multilinearity of
+    the trace rule makes checking all tuples from these families equivalent to
+    the universally quantified normalization condition.
     """
+    eye_in, eye_out = np.eye(d_in), np.eye(d_out)
+    hermitian = [np.diag(row) for row in eye_in] + _off_diagonal_basis(d_in)
+    traceless = [np.diag(eye_out[p] - eye_out[p + 1]) for p in range(d_out - 1)]
+    traceless += _off_diagonal_basis(d_out)
     base = np.eye(d_in * d_out, dtype=np.complex128) / d_out
-    family = [base]
-    for h in _hermitian_basis(d_in):
-        for g in _traceless_hermitian_basis(d_out):
-            family.append(base + np.kron(h, g))
-    return family
+    return [base] + [base + np.kron(h, g) for h in hermitian for g in traceless]
 
 
 def is_valid_process_matrix(pm: ProcessMatrix) -> ProcessMatrixReport:
     """Positivity plus unit trace against every tuple of trace-preserving maps, within
     ``VALIDITY_ATOL``.
 
-    The tuples times the matrix's entries are checked against
-    ``VALIDITY_WORK_CAP`` before any tuple is built.
+    Before any family is built, the tuples times the matrix's entries are
+    checked against ``VALIDITY_WORK_CAP`` and the families' own entries against
+    ``VALIDITY_FAMILY_CELL_CAP``; both are read off the family size formula.
     """
-    families = [
-        _normalization_family(d_in, d_out)
-        for d_in, d_out in zip(pm.scenario.inputs, pm.scenario.outputs)
-    ]
-    tuples = prod(len(f) for f in families)
+    sc = pm.scenario
+    dims = [d_in * d_out for d_in, d_out in zip(sc.inputs, sc.outputs)]
+    sizes = [dim**2 - d_in**2 + 1 for dim, d_in in zip(dims, sc.inputs)]  # len of each family
+    tuples = prod(sizes)
     if tuples * pm.dim**2 > VALIDITY_WORK_CAP:
         raise SearchSpaceTooLarge(
             f"process-matrix validity needs {tuples * pm.dim**2} steps ({tuples} normalization "
             f"tuples x {pm.dim}^2 entries), above the work cap {VALIDITY_WORK_CAP}"
         )
+    cells = sum(size * dim**2 for size, dim in zip(sizes, dims))
+    if cells > VALIDITY_FAMILY_CELL_CAP:
+        raise SearchSpaceTooLarge(
+            f"process-matrix validity needs {cells} cells of normalization families "
+            f"(sum over parties of family size x local dimension^2), above the cap "
+            f"{VALIDITY_FAMILY_CELL_CAP}"
+        )
     w = pm.matrix
     herm_dev = float(np.max(np.abs(w - w.conj().T)))
     min_eig = float(np.min(np.linalg.eigvalsh((w + w.conj().T) / 2)))
 
+    families = [_normalization_family(d_in, d_out) for d_in, d_out in zip(sc.inputs, sc.outputs)]
     norm_dev = 0.0
-    indices = [range(len(f)) for f in families]
-    for combo in itertools.product(*indices):
-        tensor = families[0][combo[0]]
-        for k in range(1, len(families)):
-            tensor = np.kron(tensor, families[k][combo[k]])
-        value = trace_product(w, tensor)
+    for combo in itertools.product(*families):
+        value = trace_product(w, functools.reduce(np.kron, combo))
         norm_dev = max(norm_dev, abs(value - 1.0))
     return ProcessMatrixReport(
         valid=(
@@ -301,10 +280,8 @@ def pm_correlation(
     with np.errstate(over="ignore", invalid="ignore"):
         for a_flat, a in enumerate(sc.setting_tuples()):
             for x_flat, x in enumerate(sc.outcome_tuples()):
-                tensor = instruments[0].operators[a[0]][x[0]]
-                for k in range(1, sc.n_parties):
-                    tensor = np.kron(tensor, instruments[k].operators[a[k]][x[k]])
-                value = trace_product(pm.matrix, tensor)
+                ops = (instr.operators[a_k][x_k] for instr, a_k, x_k in zip(instruments, a, x))
+                value = trace_product(pm.matrix, functools.reduce(np.kron, ops))
                 if not cmath.isfinite(value):
                     raise InvalidTable(
                         f"the trace rule overflows at settings {a}, outcomes {x}: {value}"

@@ -243,9 +243,6 @@ class QuasiProcess(Record):
         sc = self.scenario
         return self.table[flatten(i, sc.inputs) * sc.n_outputs + flatten(o, sc.outputs)]
 
-    def prob_flat(self, i_flat: int, o_flat: int) -> Fraction:
-        return self.table[i_flat * self.scenario.n_outputs + o_flat]
-
 
 class InterventionFamily(Record):
     """Per-party local operations p(x_k, o_k | a_k, i_k), exact rationals.
@@ -340,35 +337,34 @@ def evaluate_correlation(
         p(x|a) = sum_{i,o} prod_k p(x_k, o_k | a_k, i_k) * p(i|o).
 
     Entries are guaranteed non-negative; normalization is reported, not assumed.
+    Each party's nonzero entries are read once per column (a_k, i_k), and the
+    sum at (a, i) runs over the product of those lists only, so a
+    deterministic family costs one term per (a, i).
     """
     if process.scenario != interventions.scenario:
         raise ScenarioMismatch("process and interventions live on different scenarios")
     sc = process.scenario
-    n_x, n_a = sc.n_outcomes, sc.n_settings
-    n_parties = sc.n_parties
+    n_x, n_a, n_o = sc.n_outcomes, sc.n_settings, sc.n_outputs
+    # support[k][a_k * d_I + i_k]: party k's nonzero entries in that column, as
+    # (x_k times its place in flat(x), o_k times its place in flat(o), probability)
+    support = []
+    for k, local in enumerate(interventions.tables):
+        x_place, o_place = prod(sc.outcomes[k + 1 :]), prod(sc.outputs[k + 1 :])
+        rows = [(x * x_place, o * o_place) for x, o in iter_tuples((sc.outcomes[k], sc.outputs[k]))]
+        n_cols = sc.settings[k] * sc.inputs[k]
+        support.append(
+            [[(*row, p) for row, p in zip(rows, local[col::n_cols]) if p] for col in range(n_cols)]
+        )
     table = [ZERO] * (n_x * n_a)
-
     input_tuples = list(sc.input_tuples())
-    output_tuples = list(sc.output_tuples())
-    outcome_tuples = list(sc.outcome_tuples())
-
     for a_flat, a in enumerate(sc.setting_tuples()):
         for i_flat, i in enumerate(input_tuples):
-            for o_flat, o in enumerate(output_tuples):
-                weight = process.prob_flat(i_flat, o_flat)
-                if weight == 0:
-                    continue
-                for x_flat, x in enumerate(outcome_tuples):
-                    term = weight
-                    for k in range(n_parties):
-                        factor = interventions.prob(k, x[k], o[k], a[k], i[k])
-                        if factor == 0:
-                            term = ZERO
-                            break
-                        term *= factor
-                    if term != 0:
-                        table[x_flat * n_a + a_flat] += term
-
+            columns = (support[k][a[k] * sc.inputs[k] + i[k]] for k in range(sc.n_parties))
+            for terms in itertools.product(*columns):
+                xs, outs, factors = zip(*terms)
+                weight = process.table[i_flat * n_o + sum(outs)]
+                if weight != 0:
+                    table[sum(xs) * n_a + a_flat] += weight * prod(factors)
     mass = tuple(
         sum(table[x_flat * n_a + a_flat] for x_flat in range(n_x)) for a_flat in range(n_a)
     )
@@ -387,17 +383,11 @@ def canonical_interventions(scenario: Scenario) -> InterventionFamily:
                 f"got outcomes={scenario.outcomes[k]}, inputs={scenario.inputs[k]}, "
                 f"outputs={scenario.outputs[k]}, settings={scenario.settings[k]}"
             )
-    output_maps = []
-    outcome_maps = []
-    for k in range(scenario.n_parties):
-        output_maps.append(
-            tuple(tuple(a for _ in range(scenario.inputs[k])) for a in range(scenario.settings[k]))
-        )
-        outcome_maps.append(
-            tuple(tuple(i for i in range(scenario.inputs[k])) for _ in range(scenario.settings[k]))
-        )
-    det = DeterministicIntervention(tuple(output_maps), tuple(outcome_maps))
-    return det.to_family(scenario)
+    tables = (
+        conditional_table((d_i, d_a), (d_a, d_i), lambda xo, ai: xo == ai[::-1])  # (x, o) = (i, a)
+        for d_a, d_i in zip(scenario.settings, scenario.inputs)
+    )
+    return InterventionFamily(scenario, tuple(tables))
 
 
 def universal_realization(corr: Correlation) -> tuple[QuasiProcess, InterventionFamily]:

@@ -623,6 +623,28 @@ class TestClassify:
         assert [result[s]["status"] for s in ("qc", "pc", "dc")] == ["in", "unknown", "unknown"]
         assert result["dc"]["certificate"] == {"downgraded": "16 candidates exceed the cap 10"}
 
+    def test_pc_cap_reports_unknown_and_keeps_the_qc_verdict(self, tmp_path):
+        # the canonical scenario of three parties with 4 settings and outcomes has
+        # 2^24 output choices x 64 joint inputs, so the PC vertex test meets its
+        # cell cap; the qC replay reads one term per (settings, inputs) pair
+        sc = make_scenario(3, 4, 4, 1, 1)
+        path = tmp_path / "uniform.json"
+        uniform = (Fraction(1, sc.n_outcomes),) * (sc.n_outcomes * sc.n_settings)
+        ser.dump_json(str(path), ser.correlation_to_json(Correlation(sc, uniform)))
+        started = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-c", LIMITED_CLI, "classify", str(path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert time.monotonic() - started < 5.0
+        assert proc.returncode == 0, proc.stderr
+        result = report(proc)["result"]
+        assert [result[s]["status"] for s in ("qc", "pc", "dc")] == ["in", "unknown", "unknown"]
+        assert result["pc"]["certificate"] == {
+            "downgraded": "the output-choice table needs 1073741824 cells (16777216 output "
+            "choices x 64 joint inputs), above the cap 4194304"
+        }
+
     def test_missing_file_is_bad_input(self):
         proc = run_cli("classify", "/nonexistent/corr.json")
         assert proc.returncode == 2
@@ -654,6 +676,33 @@ class TestPmEval:
         proc = run_cli("pm-eval", "--process", str(path), "--instruments", "canonical")
         assert proc.returncode == 1
         assert report(proc)["result"]["process_valid"] is False
+
+
+    def test_family_cell_cap_exits_three(self, tmp_path):
+        # one party with 12-level input and output passes the validity work cap,
+        # but its 20,593 family matrices of 144 x 144 would take 6.4 GiB; a child
+        # under a 2 GiB address-space limit must exit 3 with the estimate
+        import numpy as np
+
+        from causelab.quantum import ProcessMatrix
+
+        pm = ProcessMatrix(make_scenario(1, 12, 12, 12, 12), np.eye(144) / 12)
+        path = tmp_path / "twelve.json"
+        ser.dump_json(str(path), ser.process_matrix_to_json(pm))
+        proc = subprocess.run(
+            [sys.executable, "-c", LIMITED_CLI, "pm-eval", "--process", str(path),
+             "--instruments", "canonical"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line) == {
+            "error": "SearchSpaceTooLarge",
+            "message": "process-matrix validity needs 427016448 cells of normalization "
+            "families (sum over parties of family size x local dimension^2), above the cap "
+            "16777216",
+        }
 
 
 class TestHierarchyDemo:

@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -25,6 +26,7 @@ from causelab.consistency import (
     CANDIDATE_CAP,
     ConsistencyVerdict,
     FunctionVerdict,
+    _candidate_axes,
     _survey_process_functions,
 )
 from causelab.errors import InvalidMixture, SearchSpaceTooLarge
@@ -260,7 +262,44 @@ def brute_force_survey(scenario, reduced):
     return tuple(survivors)
 
 
+def projection_candidate_axes(scenario, reduced):
+    """Test-local reference for :func:`_candidate_axes`: per party, every value
+    tuple over its domain (lex order, ``itertools.product``) read at the flat
+    index of the joint output with the party's own component removed."""
+    axes = []
+    for k, d_i in enumerate(scenario.inputs):
+        other_cards = [d for j, d in enumerate(scenario.outputs) if j != k or not reduced]
+        projection = [
+            flatten([v for j, v in enumerate(o) if j != k or not reduced], other_cards)
+            for o in scenario.output_tuples()
+        ]
+        axes.append([
+            tuple(values[flat] for flat in projection)
+            for values in itertools.product(range(d_i), repeat=len(set(projection)))
+        ])
+    return axes
+
+
+CANDIDATE_SCENARIOS = [
+    make_scenario(1, 2, 2, 2, 2),
+    make_scenario(1, 2, 2, 3, 2),
+    make_scenario(2, 2, 2, 2, 2),
+    make_scenario(2, 2, 2, 2, 3),
+    make_scenario(2, 2, 2, (3, 1), (2, 3)),
+    make_scenario(3, 2, 2, 2, 2),
+    make_scenario(3, 2, 2, (2, 1, 2), (1, 3, 2)),
+]
+
+
 class TestEnumeration:
+    @pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
+    @pytest.mark.parametrize("sc", CANDIDATE_SCENARIOS, ids=lambda sc: f"{sc.inputs}->{sc.outputs}")
+    def test_candidate_axes_equal_the_projection_build(self, sc, reduced):
+        axes, total = _candidate_axes(sc, reduced)
+        expected = projection_candidate_axes(sc, reduced)
+        assert [[tuple(row) for row in axis.tolist()] for axis in axes] == expected
+        assert total == prod(map(len, expected))
+
     def test_single_party_unreduced_yields_the_constants(self, single_scenario):
         functions = list(enumerate_process_functions(single_scenario, reduced=False))
         assert [fn.maps for fn in functions] == [((0, 0),), ((1, 1),)]

@@ -670,6 +670,24 @@ class TestClassify:
         label = classify(Correlation(sc, tuple(table)))
         assert label.dc.status == "in"
 
+    def test_pc_cap_reports_unknown_until_a_known_pc_bound_decides(self):
+        # two parties with 8 settings and outcomes: the canonical output-choice
+        # table would hold 2^48 x 64 cells, so the PC vertex test meets its cap
+        sc = make_scenario(2, 8, 8, 1, 1)
+        corr = uniform_correlation(sc)
+        label = classify(corr)
+        assert (label.qc.status, label.pc.status) == ("in", "unknown")
+        assert label.pc.certificate["downgraded"].startswith("the output-choice table needs")
+        # a witness whose unrestricted PC bound the point beats still puts it out
+        n_a = sc.n_settings
+        guess = tuple(int(x % 8 == a // 8) for x in range(sc.n_outcomes) for a in range(n_a))
+        witness = Game(sc, guess, (Fraction(1, n_a),) * n_a, "guess", Fraction(1, 16))
+        pc = classify(corr, (witness,)).pc
+        assert pc.status == "out"
+        assert pc.certificate == {
+            "witness": "guess", "score": Fraction(1, 8), "known_pc_bound": Fraction(1, 16)
+        }
+
     def test_witness_scenario_mismatch(self):
         with pytest.raises(ScenarioMismatch):
             classify(gynin_perfect_correlation(), (builtin_gyni(),))

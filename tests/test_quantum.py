@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -27,11 +28,13 @@ from causelab.quantum import (
     classical_instruments,
     diagonal_from_classical,
     is_valid_instrument,
+    _normalization_family,
     is_valid_process_matrix,
     pm_correlation,
 )
 
 from conftest import identity_loop, random_interventions
+from test_bench_contract import load_tracing
 
 OCB_TARGET = (2 + np.sqrt(2)) / 4
 
@@ -151,6 +154,29 @@ class TestProcessMatrixValidity:
         with pytest.raises(SearchSpaceTooLarge):
             is_valid_process_matrix(pm)
 
+    def test_family_cell_cap_is_read_before_any_family(self):
+        # one party with 12-level input and output: 20,593 family matrices of
+        # 144 x 144 would take 6.4 GiB, though the tuple work passes its cap
+        pm = ProcessMatrix(make_scenario(1, 1, 1, 12, 12), np.eye(144) / 12)
+        started = time.monotonic()
+        with pytest.raises(SearchSpaceTooLarge) as refused:
+            is_valid_process_matrix(pm)
+        assert time.monotonic() - started < 1.0
+        assert str(refused.value) == (
+            "process-matrix validity needs 427016448 cells of normalization families (sum "
+            "over parties of family size x local dimension^2), above the cap 16777216"
+        )
+
+    def test_family_cell_cap_admits_three_qubit_parties(self, monkeypatch):
+        # three families of 13 matrices of 4 x 4: bfw passes at a cap of exactly
+        # its 624 cells and is refused one below
+        pm, _ = builtin_bfw()
+        monkeypatch.setattr(quantum_module, "VALIDITY_FAMILY_CELL_CAP", 624)
+        assert is_valid_process_matrix(pm).valid
+        monkeypatch.setattr(quantum_module, "VALIDITY_FAMILY_CELL_CAP", 623)
+        with pytest.raises(SearchSpaceTooLarge):
+            is_valid_process_matrix(pm)
+
     def test_diagonal_validity_matches_table_consistency(self, gyni_scenario):
         from causelab import is_logically_consistent
         from causelab.scenario import QuasiProcess
@@ -168,6 +194,55 @@ class TestProcessMatrixValidity:
             qp = QuasiProcess(gyni_scenario, flat)
             pm = diagonal_from_classical(qp)
             assert is_valid_process_matrix(pm).valid == is_logically_consistent(qp).consistent
+
+
+def unit_basis_family(d_in: int, d_out: int) -> list[np.ndarray]:
+    """Test-local reference for the normalization family, one unit matrix at a
+    time: identity/d_out, then identity/d_out + h (x) g over the Hermitian basis
+    h of the input and the traceless Hermitian basis g of the output."""
+
+    def unit(d, entries):
+        m = np.zeros((d, d), dtype=np.complex128)
+        for (p, q), value in entries.items():
+            m[p, q] = value
+        return m
+
+    def off_diagonal(d):
+        return [
+            m
+            for p, q in itertools.combinations(range(d), 2)
+            for m in (unit(d, {(p, q): 1.0, (q, p): 1.0}), unit(d, {(p, q): -1.0j, (q, p): 1.0j}))
+        ]
+
+    hermitian = [unit(d_in, {(p, p): 1.0}) for p in range(d_in)] + off_diagonal(d_in)
+    traceless = [unit(d_out, {(p, p): 1.0, (p + 1, p + 1): -1.0}) for p in range(d_out - 1)]
+    traceless += off_diagonal(d_out)
+    base = np.eye(d_in * d_out, dtype=np.complex128) / d_out
+    return [base] + [base + np.kron(h, g) for h in hermitian for g in traceless]
+
+
+DIMENSION_PAIRS = list(itertools.product(range(1, 4), repeat=2))
+
+
+class TestNormalizationFamily:
+    @pytest.mark.parametrize("d_in, d_out", DIMENSION_PAIRS)
+    def test_equals_the_unit_basis_build(self, d_in, d_out):
+        family, reference = _normalization_family(d_in, d_out), unit_basis_family(d_in, d_out)
+        assert len(family) == len(reference)
+        for built, expected in zip(family, reference):
+            assert built.dtype == expected.dtype and np.array_equal(built, expected)
+
+    @pytest.mark.parametrize("d_in, d_out", DIMENSION_PAIRS)
+    def test_size_matches_the_benchmark_kron_count(self, d_in, d_out):
+        """The validity caps, ``bench/tracing.py``'s Kronecker count and the
+        builder read one family size."""
+        assert load_tracing()._family_size(d_in, d_out) == len(_normalization_family(d_in, d_out))
+
+    @pytest.mark.parametrize("d_in, d_out", DIMENSION_PAIRS)
+    def test_members_are_trace_preserving(self, d_in, d_out):
+        for member in _normalization_family(d_in, d_out):
+            marginal = np.einsum("iojo->ij", member.reshape(d_in, d_out, d_in, d_out))
+            assert np.allclose(member, member.conj().T) and np.allclose(marginal, np.eye(d_in))
 
 
 class TestPmCorrelation:

@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causelab import (
     Correlation,
+    DeterministicIntervention,
     InterventionFamily,
     QuasiProcess,
     QuasiProcessFunction,
@@ -23,10 +25,15 @@ from causelab.errors import (
     NotCanonicalizable,
     ScenarioMismatch,
 )
-from causelab.games import bfw_process, builtin_gynin, pr_box_correlation, score
+from causelab.games import bfw_process, builtin_gynin, builtin_ocb, pr_box_correlation, score
 from causelab.scenario import flatten, unflatten
 
-from conftest import identity_loop, random_correlation, random_interventions
+from conftest import (
+    identity_loop,
+    random_correlation,
+    random_distribution,
+    random_interventions,
+)
 
 
 class TestMakeScenario:
@@ -118,7 +125,50 @@ class TestValidation:
             QuasiProcess(single_scenario, table)
 
 
+def five_deep_evaluation(process, family) -> tuple[Fraction, ...]:
+    """Test-local reference evaluator: visits every (a, i, o, x) and multiplies
+    p(i|o) by each party's p(x_k, o_k | a_k, i_k)."""
+    sc = process.scenario
+    n_a = sc.n_settings
+    table = [Fraction(0)] * (sc.n_outcomes * n_a)
+    for a_flat, a in enumerate(sc.setting_tuples()):
+        for i in sc.input_tuples():
+            for o in sc.output_tuples():
+                for x_flat, x in enumerate(sc.outcome_tuples()):
+                    term = process.prob(i, o)
+                    for k in range(sc.n_parties):
+                        term *= family.prob(k, x[k], o[k], a[k], i[k])
+                    table[x_flat * n_a + a_flat] += term
+    return tuple(table)
+
+
 class TestEvaluate:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_five_deep_loop(self, data):
+        """Random scenarios of 1-3 parties, random (not only deterministic)
+        families, and processes with zero entries give the same exact table."""
+        n = data.draw(st.integers(1, 3), label="parties")
+        card = st.integers(1, 2 if n == 3 else 3)
+        sc = Scenario(*(tuple(data.draw(st.lists(card, min_size=n, max_size=n))) for _ in "saio"))
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        # joint input `dead` is never delivered; the other entries hold random zeros too
+        dead = rng.randrange(sc.n_inputs)
+        columns = [
+            random_distribution(rng, sc.n_inputs - 1) if sc.n_inputs > 1 else [Fraction(1)]
+            for _ in range(sc.n_outputs)
+        ]
+        for column in columns:
+            if sc.n_inputs > 1:
+                column.insert(dead, Fraction(0))
+        process = QuasiProcess(sc, tuple(col[i] for i in range(sc.n_inputs) for col in columns))
+        family = random_interventions(rng, sc)
+        report = evaluate_correlation(process, family)
+        expected = five_deep_evaluation(process, family)
+        assert report.table == expected
+        n_a = sc.n_settings
+        assert report.setting_mass == tuple(sum(expected[a::n_a]) for a in range(n_a))
+
     def test_bfw_canonical_wins_perfectly(self):
         process = bfw_process()
         report = evaluate_correlation(process, canonical_interventions(process.scenario))
@@ -212,6 +262,23 @@ class TestCanonicalInterventions:
         sc = make_scenario(1, 1, 1, 1, 1)
         family = canonical_interventions(sc)
         assert family.prob(0, 0, 0, 0, 0) == 1
+
+    @pytest.mark.parametrize(
+        "sc",
+        [builtin_ocb().scenario, Scenario((2, 3, 1), (3, 1, 2), (3, 1, 2), (2, 3, 1))],
+        ids=["ocb", "asymmetric"],
+    )
+    def test_equals_the_deterministic_maps(self, sc):
+        """Each party reports its input and sends its setting: the family the
+        per-party maps build through ``DeterministicIntervention``."""
+        output_maps = tuple(
+            tuple((a,) * d_i for a in range(d_a)) for d_a, d_i in zip(sc.settings, sc.inputs)
+        )
+        outcome_maps = tuple(
+            (tuple(range(d_i)),) * d_a for d_a, d_i in zip(sc.settings, sc.inputs)
+        )
+        reference = DeterministicIntervention(output_maps, outcome_maps).to_family(sc)
+        assert canonical_interventions(sc) == reference
 
     def test_not_canonicalizable(self):
         sc = make_scenario(1, 2, 2, 3, 2)  # outcome_card != input_card
