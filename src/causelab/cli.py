@@ -30,7 +30,12 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .consistency import CANDIDATE_CAP, enumerate_process_functions, is_logically_consistent
+from .consistency import (
+    CANDIDATE_CAP,
+    enumerate_process_functions,
+    is_logically_consistent,
+    quasiprocess_from_function,
+)
 from .errors import CauselabError, InvalidTable, SearchSpaceTooLarge
 from .games import (
     ClassLabel,
@@ -57,24 +62,10 @@ from .quantum import (
     is_valid_process_matrix,
     pm_correlation,
 )
-from .scenario import canonical_interventions, make_scenario
+from .scenario import canonical_interventions, evaluate_correlation, make_scenario
 from . import serialize
 
 OCB_TARGET = 0.8535533905932737  # (2 + sqrt 2) / 4
-
-
-def _rat(value: Fraction) -> str:
-    return serialize.rational_to_str(value)
-
-
-def _jsonify(obj):
-    if isinstance(obj, Fraction):
-        return _rat(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
 
 
 def _load_game(spec: str):
@@ -86,48 +77,45 @@ def _load_game(spec: str):
         raise InvalidTable(f"unknown game {spec!r}: not a built-in name or a readable file")
 
 
-def _config(args, extra: dict) -> dict:
-    config = {
-        "format": args.format,
-        "caps": {"candidates": args.cap_candidates},
-    }
-    config.update(extra)
-    return config
+def _json_default(value) -> str:
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit(args, command: str, config: dict, result: dict) -> None:
+def _emit(args, result: dict, **config) -> None:
+    """The one stdout writer: the result's text lines, or its JSON report, where
+    every Fraction is written as "num/den" by one encoder hook."""
+    lines = result.pop("lines")
     if args.format == "text":
-        default = [json.dumps(_jsonify(result), sort_keys=True, allow_nan=False)]
-        for line in result.get("lines", default):
-            print(line)
+        print("\n".join(lines))
         return
     report = {
-        "command": command,
-        "config": _jsonify(config),
+        "command": args.command,
+        "config": {"format": args.format, "caps": {"candidates": args.cap_candidates}, **config},
         "version": __version__,
-        "result": _jsonify({k: v for k, v in result.items() if k != "lines"}),
+        "result": result,
     }
-    print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
+    print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False, default=_json_default))
 
 
 def _cmd_check_consistency(args) -> int:
     qp = serialize.quasiprocess_from_json(serialize.load_json(args.process))
     verdict = is_logically_consistent(qp)
-    result = {"consistent": verdict.consistent}
-    lines = []
-    if verdict.consistent:
-        lines.append("consistent: unit mass at every deterministic output choice")
-    else:
+    result = {
+        "consistent": verdict.consistent,
+        "lines": ["consistent: unit mass at every deterministic output choice"],
+    }
+    if not verdict.consistent:
         result["certificate"] = {
             "output_choice": verdict.violation.maps,
             "total_mass": verdict.violation_mass,
         }
-        lines.append(
+        result["lines"] = [
             f"inconsistent: output choice {[list(m) for m in verdict.violation.maps]} "
             f"has total mass {verdict.violation_mass}"
-        )
-    result["lines"] = lines
-    _emit(args, "check-consistency", _config(args, {"process": args.process}), result)
+        ]
+    _emit(args, result, process=args.process)
     return 0 if verdict.consistent else 1
 
 
@@ -144,12 +132,7 @@ def _cmd_enum_pf(args) -> int:
         "functions": [fn.maps for fn in functions],
         "lines": [f"{len(functions)} process functions"],
     }
-    _emit(
-        args,
-        "enum-pf",
-        _config(args, {"parties": args.parties, "alphabet": args.alphabet, "reduced": args.reduced}),
-        result,
-    )
+    _emit(args, result, parties=args.parties, alphabet=args.alphabet, reduced=args.reduced)
     return 0
 
 
@@ -176,42 +159,36 @@ def _cmd_bound(args) -> int:
 
     if args.format == "csv":
         print("game,set,value")
-        print(f"{game.name or args.game},{args.set},{_rat(value)}")
+        print(f"{game.name or args.game},{args.set},{value}")
         return 0
     result = {
         "game": game.name or args.game,
         "set": args.set,
         "value": value,
         "witness": witness,
-        "lines": [f"{args.set} bound for {game.name or args.game}: {_rat(value)}"],
+        "lines": [f"{args.set} bound for {game.name or args.game}: {value}"],
     }
-    _emit(args, "bound", _config(args, {"game": args.game, "set": args.set}), result)
+    _emit(args, result, game=args.game, set=args.set)
     return 0
 
 
 def _verdicts_to_json(label: ClassLabel) -> dict:
     def convert(verdict) -> dict:
-        out = {"status": verdict.status}
         cert = {}
         for key, value in verdict.certificate.items():
             if key == "process":
-                cert[key] = serialize.quasiprocess_to_json(value)
+                value = serialize.quasiprocess_to_json(value)
             elif key == "interventions":
-                cert[key] = serialize.interventions_to_json(value)
-            elif key == "vertices":
-                cert["n_vertices"] = len(value)
-            elif key == "weights":
-                cert["support"] = [
-                    {"weight": _rat(w), "vertex_index": idx}
-                    for idx, w in enumerate(value)
-                    if w != 0
-                ]
+                value = serialize.interventions_to_json(value)
             elif key == "violating_choice":
-                cert[key] = value.maps
-            else:
-                cert[key] = _jsonify(value)
-        out["certificate"] = cert
-        return out
+                value = value.maps
+            elif key == "vertices":
+                key, value = "n_vertices", len(value)
+            elif key == "weights":
+                key = "support"
+                value = [{"weight": w, "vertex_index": i} for i, w in enumerate(value) if w != 0]
+            cert[key] = value
+        return {"status": verdict.status, "certificate": cert}
 
     return {"qc": convert(label.qc), "pc": convert(label.pc), "dc": convert(label.dc)}
 
@@ -221,15 +198,8 @@ def _cmd_classify(args) -> int:
     witnesses = tuple(_load_game(name) for name in args.witness or ())
     label = classify(corr, witnesses, candidate_cap=args.cap_candidates)
     payload = _verdicts_to_json(label)
-    payload["lines"] = [
-        f"qC: {label.qc.status}  PC: {label.pc.status}  DC: {label.dc.status}"
-    ]
-    _emit(
-        args,
-        "classify",
-        _config(args, {"correlation": args.correlation, "witness": list(args.witness or ())}),
-        payload,
-    )
+    payload["lines"] = [f"qC: {label.qc.status}  PC: {label.pc.status}  DC: {label.dc.status}"]
+    _emit(args, payload, correlation=args.correlation, witness=list(args.witness or ()))
     return 0
 
 
@@ -283,12 +253,7 @@ def _cmd_pm_eval(args) -> int:
             + (f"; score[{game.name or game_spec}] = {game_score:.9f}" if game_score is not None else "")
         ],
     }
-    _emit(
-        args,
-        "pm-eval",
-        _config(args, {"process": args.process, "instruments": args.instruments, "game": args.game}),
-        result,
-    )
+    _emit(args, result, process=args.process, instruments=args.instruments, game=args.game)
     return 0 if ok else 1
 
 
@@ -304,21 +269,18 @@ def _cmd_hierarchy_demo(args) -> int:
     chsh = builtin_chsh()
 
     causal = causal_bound(gynin).value
-    check("gynin-causal", causal == Fraction(1, 2), f"causal bound {_rat(causal)} (target 1/2)")
+    check("gynin-causal", causal == Fraction(1, 2), f"causal bound {causal} (target 1/2)")
 
     dc = dc_bound(gynin, candidate_cap=args.cap_candidates)
-    check("gynin-dc", dc.value == Fraction(5, 8), f"dc bound {_rat(dc.value)} (target 5/8)")
+    check("gynin-dc", dc.value == Fraction(5, 8), f"dc bound {dc.value} (target 5/8)")
     replay = dc.witness_intervention.to_family(gynin.scenario)
-    from .consistency import quasiprocess_from_function
-    from .scenario import evaluate_correlation
-
     replayed = evaluate_correlation(quasiprocess_from_function(dc.witness_function), replay)
     replay_score = score(gynin, replayed.to_correlation())
-    check("gynin-dc-witness", replay_score == dc.value, f"witness replays to {_rat(replay_score)}")
+    check("gynin-dc-witness", replay_score == dc.value, f"witness replays to {replay_score}")
 
     pc = pc_bound_canonical(gynin)
     bfw = bfw_process()
-    check("gynin-pc", pc.value == 1, f"pc bound {_rat(pc.value)} (target 1)")
+    check("gynin-pc", pc.value == 1, f"pc bound {pc.value} (target 1)")
     check("gynin-pc-bfw", pc.process.table == bfw.table, "optimal process equals the cyclic mixture table")
 
     gynin_point = gynin_perfect_correlation()
@@ -335,7 +297,7 @@ def _cmd_hierarchy_demo(args) -> int:
         ("gyni-pc", lambda: pc_bound_canonical(gyni).value, Fraction(1, 2)),
     ):
         value = bound_fn()
-        check(name, value == target, f"{_rat(value)} (target {_rat(target)})")
+        check(name, value == target, f"{value} (target {target})")
 
     gyni_point = gyni_perfect_correlation()
     gyni_label = classify(gyni_point, (gyni,), candidate_cap=args.cap_candidates)
@@ -351,12 +313,12 @@ def _cmd_hierarchy_demo(args) -> int:
     check(
         "ocb-beats-causal",
         ocb_score > float(ocb_causal) + 1e-9,
-        f"score {ocb_score:.6f} > causal bound {_rat(ocb_causal)}",
+        f"score {ocb_score:.6f} > causal bound {ocb_causal}",
     )
 
     chsh_dc = dc_bound(chsh, candidate_cap=args.cap_candidates).value
     chsh_pc = pc_bound_canonical(chsh).value
-    check("chsh-bounds", chsh_dc == Fraction(3, 4) and chsh_pc == Fraction(3, 4), f"dc {_rat(chsh_dc)}, pc {_rat(chsh_pc)}")
+    check("chsh-bounds", chsh_dc == Fraction(3, 4) and chsh_pc == Fraction(3, 4), f"dc {chsh_dc}, pc {chsh_pc}")
     pr_label = classify(pr_box_correlation(), (chsh,), candidate_cap=args.cap_candidates)
     check("pr-box", pr_label.dc.status == "out", f"DC {pr_label.dc.status}")
 
@@ -407,7 +369,7 @@ def _cmd_hierarchy_demo(args) -> int:
             f"  {point}: " + ", ".join(f"{name} {status}" for name, status in sets.items())
         )
     result = {"checks": checks, "membership": membership, "all_passed": ok, "lines": lines}
-    _emit(args, "hierarchy-demo", _config(args, {}), result)
+    _emit(args, result)
     return 0 if ok else 1
 
 

@@ -48,7 +48,8 @@ DIAGONAL_ATOL = 1e-12
 # Normalization tuples x matrix entries one validity check may touch; the
 # tuple loop runs about 8e7 entries per second on one core.
 VALIDITY_WORK_CAP = 10**9
-# Entries of all parties' normalization families held at once (16 bytes each).
+# Entries held at once (16 bytes each) by all parties' normalization families,
+# or by all parties' classical instrument operators.
 VALIDITY_FAMILY_CELL_CAP = 1 << 24
 
 OCB_DATA_RESOURCE = "ocb_process.json"
@@ -324,8 +325,20 @@ def classical_from_diagonal(pm: ProcessMatrix) -> QuasiProcess:
 
 
 def classical_instruments(family: InterventionFamily) -> list[InstrumentCJ]:
-    """Diagonal CJ instruments implementing classical local operations."""
+    """Diagonal CJ instruments implementing classical local operations.
+
+    The dense operators' entries are checked against ``VALIDITY_FAMILY_CELL_CAP``
+    before any is allocated."""
     sc = family.scenario
+    cells = sum(
+        a * x * (d_in * d_out) ** 2
+        for a, x, d_in, d_out in zip(sc.settings, sc.outcomes, sc.inputs, sc.outputs)
+    )
+    if cells > VALIDITY_FAMILY_CELL_CAP:
+        raise SearchSpaceTooLarge(
+            f"classical instruments need {cells} operator entries (sum over parties of "
+            f"settings x outcomes x local dimension^2), above the cap {VALIDITY_FAMILY_CELL_CAP}"
+        )
     out = []
     for k, table in enumerate(family.tables):
         d_in, d_out = sc.inputs[k], sc.outputs[k]

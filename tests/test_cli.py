@@ -704,6 +704,34 @@ class TestPmEval:
             "16777216",
         }
 
+    def test_canonical_instrument_cap_exits_three(self, tmp_path):
+        # one party with 24-level input and output: 24 x 24 dense 576 x 576
+        # canonical operators would take 2.85 GiB; a child under a 2 GiB
+        # address-space limit must exit 3 before allocating them
+        import numpy as np
+
+        from causelab.quantum import ProcessMatrix
+
+        pm = ProcessMatrix(make_scenario(1, 24, 24, 24, 24), np.eye(576) / 24)
+        path = tmp_path / "twenty-four.json"
+        ser.dump_json(str(path), ser.process_matrix_to_json(pm))
+        started = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-c", LIMITED_CLI, "pm-eval", "--process", str(path),
+             "--instruments", "canonical"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert time.monotonic() - started < 5.0
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line) == {
+            "error": "SearchSpaceTooLarge",
+            "message": "classical instruments need 191102976 operator entries (sum over "
+            "parties of settings x outcomes x local dimension^2), above the cap 16777216",
+        }
+
 
 class TestHierarchyDemo:
     def test_demo_passes_and_exits_zero(self):
@@ -761,39 +789,81 @@ class TestGlobalOptions:
         assert proc.returncode == 0
         assert "causal bound for gyni: 1/2" in proc.stdout
 
+    @pytest.mark.parametrize(
+        "fmt, args",
+        [
+            (fmt, args)
+            for args in (
+                ["check-consistency", "bfw.json"],
+                ["enum-pf", "--parties", "2", "--alphabet", "2"],
+                ["bound", "--game", "gyni", "--set", "dc"],
+                ["classify", "gyni-perfect.json", "--witness", "gyni"],
+                ["pm-eval", "--process", "ocb"],
+                ["hierarchy-demo"],
+            )
+            for fmt in ("json", "text", "csv")
+            if fmt != "csv" or args[0] == "bound"
+        ],
+    )
+    def test_success_writes_only_the_runtime_to_stderr(self, tmp_path, monkeypatch, fmt, args):
+        from causelab.games import bfw_process
+
+        monkeypatch.chdir(tmp_path)
+        ser.dump_json("bfw.json", ser.quasiprocess_to_json(bfw_process()))
+        ser.dump_json("gyni-perfect.json", ser.correlation_to_json(gyni_perfect_correlation()))
+        proc = run_cli("--format", fmt, *args)
+        assert proc.returncode == 0, proc.stderr
+        (line,) = proc.stderr.splitlines()
+        runtime = json.loads(line)
+        assert list(runtime) == ["runtime_ms"] and type(runtime["runtime_ms"]) is int
+
 
 class TestGoldenReports:
     """stdout of whole reports, pinned by SHA-256: a refactor keeps them byte-identical."""
 
     DIGESTS = [
-        ("bound --game gynin --set causal", "b59710f70e5931500ed3b4e3adc6f26bec22cf695eb2c4a6b1952ca5d4a54860"),
-        ("bound --game gynin --set dc", "363a3f56150f66be1dc798f6dc5b39405817f1f7a6c30e7f71d6641b882b11de"),
-        ("bound --game gynin --set pc", "857b8f8e37e32e4f085a640e39693ceeb80a9398e492a56d963fc61012fc1d6f"),
-        ("bound --game gyni --set causal", "bf1e9d30d43133a3490f7fdbba6c691f9e6c6c058d60abe080cb17862cbe9335"),
-        ("bound --game gyni --set dc", "e5939a60d80e622d3eeb62d9a649870fba9f2546ccd1f97e42a018910b8ce8a1"),
-        ("bound --game gyni --set pc", "b0fff57fd4cf7ac15591674729158a3d13e7c4268b779437f351b40e4201d150"),
-        ("bound --game ocb --set causal", "8a2777f58cddcedc767412b53d5a1116bcfbad91dd4f67febe9470827e09cf6b"),
-        ("bound --game ocb --set dc", "ae1d1f101a624ba3b71a6a22eb243af8e6d598ed9c59d4d5d2f76f14328cf8c0"),
-        ("bound --game ocb --set pc", "5ed341c2afa31f59890ce89f36519aabeaa39a37826b4a989af84496a14f6480"),
-        ("bound --game chsh --set causal", "0c8424cb7718e723d0072cf5342302c8a1f03bb68a7b58f0d7704869bc2b0b49"),
-        ("bound --game chsh --set dc", "e2f129526e35f5f8d02729053a912e2a01ed199db195d0916b9141d4b7f2245f"),
-        ("bound --game chsh --set pc", "14809fc11cc7dfbe34937f85aff3a3835681902f557586753c7d8778dc657a52"),
-        ("classify gynin-perfect.json --witness gynin", "b0528a051227cc605b472a66342cb9541f456462e1217286c415175b4c17b309"),
-        ("classify gyni-perfect.json --witness gyni", "50ee59b69e4b68acdcec1a6b55f07ad445b17b31883a3f9e6f5d397f454ca29c"),
-        ("classify pr-box.json --witness chsh", "3443ea228568988b1e14d97dd50772504c5f8e62a0f1143548c7b44c12fa059c"),
-        ("hierarchy-demo", "0e2cd7d95b82294592af09e47d717ece91ed3a1b4b2b69f6d069fa1be259bc4f"),
+        ("bound --game gynin --set causal", 0, "b59710f70e5931500ed3b4e3adc6f26bec22cf695eb2c4a6b1952ca5d4a54860"),
+        ("bound --game gynin --set dc", 0, "363a3f56150f66be1dc798f6dc5b39405817f1f7a6c30e7f71d6641b882b11de"),
+        ("bound --game gynin --set pc", 0, "857b8f8e37e32e4f085a640e39693ceeb80a9398e492a56d963fc61012fc1d6f"),
+        ("bound --game gyni --set causal", 0, "bf1e9d30d43133a3490f7fdbba6c691f9e6c6c058d60abe080cb17862cbe9335"),
+        ("bound --game gyni --set dc", 0, "e5939a60d80e622d3eeb62d9a649870fba9f2546ccd1f97e42a018910b8ce8a1"),
+        ("bound --game gyni --set pc", 0, "b0fff57fd4cf7ac15591674729158a3d13e7c4268b779437f351b40e4201d150"),
+        ("bound --game ocb --set causal", 0, "8a2777f58cddcedc767412b53d5a1116bcfbad91dd4f67febe9470827e09cf6b"),
+        ("bound --game ocb --set dc", 0, "ae1d1f101a624ba3b71a6a22eb243af8e6d598ed9c59d4d5d2f76f14328cf8c0"),
+        ("bound --game ocb --set pc", 0, "5ed341c2afa31f59890ce89f36519aabeaa39a37826b4a989af84496a14f6480"),
+        ("bound --game chsh --set causal", 0, "0c8424cb7718e723d0072cf5342302c8a1f03bb68a7b58f0d7704869bc2b0b49"),
+        ("bound --game chsh --set dc", 0, "e2f129526e35f5f8d02729053a912e2a01ed199db195d0916b9141d4b7f2245f"),
+        ("bound --game chsh --set pc", 0, "14809fc11cc7dfbe34937f85aff3a3835681902f557586753c7d8778dc657a52"),
+        ("classify gynin-perfect.json --witness gynin", 0, "b0528a051227cc605b472a66342cb9541f456462e1217286c415175b4c17b309"),
+        ("classify gyni-perfect.json --witness gyni", 0, "50ee59b69e4b68acdcec1a6b55f07ad445b17b31883a3f9e6f5d397f454ca29c"),
+        ("classify pr-box.json --witness chsh", 0, "3443ea228568988b1e14d97dd50772504c5f8e62a0f1143548c7b44c12fa059c"),
+        ("hierarchy-demo", 0, "0e2cd7d95b82294592af09e47d717ece91ed3a1b4b2b69f6d069fa1be259bc4f"),
+        ("enum-pf --parties 3 --alphabet 2 --reduced", 0, "2fdcabfd91a3736245a0c28b2e3f4fe9f076b82ccdaff5bcfea0775670f7bc9f"),
+        ("check-consistency bfw.json", 0, "85e5de94557791055c7b6a83cbed8f03145924158001337514b6c3d0d1d0ba02"),
+        ("check-consistency grandfather.json", 1, "00f5c69ff6b1e817a9c5e9d09e6dcfb39ce92cbf0aae9af03ad6a9e69c55a0b5"),
+        ("--format text bound --game gynin --set dc", 0, "9a0f7127b6cd250f6ab9e56c9ef45e0d0999faac8fde3e997122775f4f5295ea"),
+        ("--format text classify gynin-perfect.json --witness gynin", 0, "a60deabac0d8302a6dd40f0eeeeffb0de89c899752932ac73567bb52730009f6"),
+        ("--format text enum-pf --parties 2 --alphabet 2", 0, "a07f7fec0a6bb557dfbf95e14f3883f02e1b86df952d32121b94fd7cfb222d08"),
+        ("--format text hierarchy-demo", 0, "6551159755ece6c6b13dcb9ca72ebb30a5624da016a19ce4f25e6e9e3f1ddb52"),
+        # the text line rounds the score to 9 decimals; the JSON report's
+        # eigenvalue floats depend on the linear-algebra backend, so it stays unpinned
+        ("--format text pm-eval --process ocb", 0, "7123b2d212ea0b9b25fe7ecfb44b8694f8872b14eb981dfbbadc504b5b18a3d6"),
+        ("--format csv bound --game gyni --set pc", 0, "cdbf6b0297f256a8c3a623201da3e592f0833ad9f5c04f7df2b696f45ab62ee6"),
     ]
 
-    @pytest.mark.parametrize("command, digest", DIGESTS, ids=[c for c, _ in DIGESTS])
-    def test_stdout_digest(self, tmp_path, monkeypatch, capsys, command, digest):
-        monkeypatch.chdir(tmp_path)  # reports echo the correlation path as given
+    @pytest.mark.parametrize("command, code, digest", DIGESTS, ids=[c for c, _, _ in DIGESTS])
+    def test_stdout_digest(self, tmp_path, monkeypatch, capsys, grandfather_file, command, code, digest):
+        from causelab.games import bfw_process
+
+        monkeypatch.chdir(tmp_path)  # reports echo the input path as given
+        ser.dump_json("bfw.json", ser.quasiprocess_to_json(bfw_process()))
         for name, corr in (
             ("gynin-perfect.json", gynin_perfect_correlation()),
             ("gyni-perfect.json", gyni_perfect_correlation()),
             ("pr-box.json", pr_box_correlation()),
         ):
             ser.dump_json(name, ser.correlation_to_json(corr))
-        assert main(command.split()) == 0
+        assert main(command.split()) == code
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
