@@ -6,7 +6,8 @@ effective configuration (format, caps), and the library version, with
 sorted keys so that identical configurations produce byte-identical reports.
 Timing goes to stderr.  Exit codes: 0 success, 1 property violated or an
 inconsistent object detected, 2 bad input (including an input path that
-cannot be read), 3 a cap was exceeded.
+cannot be read), 3 a cap was exceeded, 141 (128 + SIGPIPE) stdout was closed
+by its reader, with nothing written to stderr.
 
 Importing this module imports every causelab module but not numpy: the
 numeric modules take ``np`` from ``causelab._lazy``, which loads numpy on the
@@ -84,11 +85,12 @@ def _json_default(value) -> str:
 
 
 def _emit(args, result: dict, **config) -> None:
-    """The one stdout writer: the result's text lines, or its JSON report, where
-    every Fraction is written as "num/den" by one encoder hook."""
-    lines = result.pop("lines")
-    if args.format == "text":
-        print("\n".join(lines))
+    """The one stdout writer: the result's line list for the text or csv format
+    (``result["text"]``, ``result["csv"]``), or its JSON report, where every
+    Fraction is written as "num/den" by one encoder hook."""
+    lines = {fmt: result.pop(fmt, None) for fmt in ("text", "csv")}
+    if args.format != "json":
+        print("\n".join(lines[args.format]))
         return
     report = {
         "command": args.command,
@@ -104,14 +106,14 @@ def _cmd_check_consistency(args) -> int:
     verdict = is_logically_consistent(qp)
     result = {
         "consistent": verdict.consistent,
-        "lines": ["consistent: unit mass at every deterministic output choice"],
+        "text": ["consistent: unit mass at every deterministic output choice"],
     }
     if not verdict.consistent:
         result["certificate"] = {
             "output_choice": verdict.violation.maps,
             "total_mass": verdict.violation_mass,
         }
-        result["lines"] = [
+        result["text"] = [
             f"inconsistent: output choice {[list(m) for m in verdict.violation.maps]} "
             f"has total mass {verdict.violation_mass}"
         ]
@@ -130,7 +132,7 @@ def _cmd_enum_pf(args) -> int:
         "scenario": serialize.scenario_to_json(scenario),
         "count": len(functions),
         "functions": [fn.maps for fn in functions],
-        "lines": [f"{len(functions)} process functions"],
+        "text": [f"{len(functions)} process functions"],
     }
     _emit(args, result, parties=args.parties, alphabet=args.alphabet, reduced=args.reduced)
     return 0
@@ -157,16 +159,14 @@ def _cmd_bound(args) -> int:
         value = res.value
         witness = {"process": serialize.quasiprocess_to_json(res.process)}
 
-    if args.format == "csv":
-        print("game,set,value")
-        print(f"{game.name or args.game},{args.set},{value}")
-        return 0
+    name = game.name or args.game
     result = {
-        "game": game.name or args.game,
+        "game": name,
         "set": args.set,
         "value": value,
         "witness": witness,
-        "lines": [f"{args.set} bound for {game.name or args.game}: {value}"],
+        "text": [f"{args.set} bound for {name}: {value}"],
+        "csv": ["game,set,value", f"{name},{args.set},{value}"],
     }
     _emit(args, result, game=args.game, set=args.set)
     return 0
@@ -198,7 +198,7 @@ def _cmd_classify(args) -> int:
     witnesses = tuple(_load_game(name) for name in args.witness or ())
     label = classify(corr, witnesses, candidate_cap=args.cap_candidates)
     payload = _verdicts_to_json(label)
-    payload["lines"] = [f"qC: {label.qc.status}  PC: {label.pc.status}  DC: {label.dc.status}"]
+    payload["text"] = [f"qC: {label.qc.status}  PC: {label.pc.status}  DC: {label.dc.status}"]
     _emit(args, payload, correlation=args.correlation, witness=list(args.witness or ()))
     return 0
 
@@ -248,7 +248,7 @@ def _cmd_pm_eval(args) -> int:
         "setting_mass": list(corr.setting_mass()),
         "score": game_score,
         "game": None if game is None else (game.name or game_spec),
-        "lines": [
+        "text": [
             f"process valid: {pm_report.valid}; instruments valid: {all(r.valid for r in instr_reports)}"
             + (f"; score[{game.name or game_spec}] = {game_score:.9f}" if game_score is not None else "")
         ],
@@ -368,7 +368,7 @@ def _cmd_hierarchy_demo(args) -> int:
         lines.append(
             f"  {point}: " + ", ".join(f"{name} {status}" for name, status in sets.items())
         )
-    result = {"checks": checks, "membership": membership, "all_passed": ok, "lines": lines}
+    result = {"checks": checks, "membership": membership, "all_passed": ok, "text": lines}
     _emit(args, result)
     return 0 if ok else 1
 
@@ -447,6 +447,14 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         code = args.handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: exit as SIGPIPE would, and send the
+        # interpreter's final flush of what is still buffered to /dev/null.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except SearchSpaceTooLarge as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 3

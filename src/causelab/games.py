@@ -363,7 +363,9 @@ class _DcSearch:
     it once, in chunks of functions: for every function of a chunk at once it
     finds each party's output-choice classes, groups the functions by their
     class-count signature, and gathers each group's fixed-point rows with
-    ``function_rows`` through one index array per signature.
+    ``function_rows`` through one index array per signature.  Each row keeps
+    the output choices that first produced it, so a witness is read off the
+    row, not rebuilt from its class grid.
     """
 
     def __init__(self, scenario: Scenario, candidate_cap: int):
@@ -374,9 +376,10 @@ class _DcSearch:
         self.settings_of = np.array(self.setting_tuples, dtype=np.int64).reshape(-1, self.n)
         self.n_a = scenario.n_settings
         # Output choices per party; outcome maps over (setting, input) cells
-        # a * d_I + i (hmap) and over inputs alone (smap, one setting's slice).
-        # A party's table is built when a search first reads it, so the caps
-        # on the counts F, H and S run before any table exists.
+        # a * d_I + i (hmap) and over inputs alone (smap, one setting's slice);
+        # class grids per class-count signature (layout).  Each table is built
+        # when a search first reads it, so the caps on the counts F, H and S
+        # run before any table exists.
         self.choices = functools.cache(lambda k: _lex_maps(scenario.inputs[k], scenario.outputs[k]))
         self.F = [d_o**d_i for d_o, d_i in zip(scenario.outputs, scenario.inputs)]
         self.fp_strides = _strides(self.F)
@@ -385,9 +388,9 @@ class _DcSearch:
         self.ncells = [scenario.settings[k] * scenario.inputs[k] for k in range(self.n)]
         self.hmap = functools.cache(lambda k: _lex_maps(self.ncells[k], scenario.outcomes[k]))
         self.smap = functools.cache(lambda k: _lex_maps(scenario.inputs[k], scenario.outcomes[k]))
+        self.layout = functools.cache(self._layout)
         self.H = [d_x**cells for d_x, cells in zip(scenario.outcomes, self.ncells)]
         self.S = [d_x**d_i for d_x, d_i in zip(scenario.outcomes, scenario.inputs)]
-        self._layouts: dict[tuple[int, ...], tuple] = {}
 
     @functools.cached_property
     def survey(self):
@@ -416,27 +419,24 @@ class _DcSearch:
         The grid has one axis per (party k, setting a_k) with ``counts[k]``
         classes; ``index[g, a_flat]`` is the flat position, in the
         (c_1, ..., c_n) class table, of the fixed point read at joint setting
-        a_flat on grid point g.  Built once per signature, within ``DC_GRID_CAP``.
+        a_flat on grid point g.  Read through ``layout``, which builds it once
+        per signature, within ``DC_GRID_CAP``.
         """
-        layout = self._layouts.get(counts)
-        if layout is None:
-            settings = self.sc.settings
-            axes_cards = [counts[k] for k in range(self.n) for _ in range(settings[k])]
-            n_grid = prod(axes_cards)
-            if n_grid * self.n_a > DC_GRID_CAP:
-                raise SearchSpaceTooLarge(
-                    f"a class grid has {n_grid * self.n_a} cells ({n_grid} intervention "
-                    f"outputs x {self.n_a} settings), above the cap {DC_GRID_CAP}"
-                )
-            axis_offset = [sum(settings[:k]) for k in range(self.n)]
-            digits = np.indices(axes_cards, dtype=np.int64).reshape(len(axes_cards), n_grid)
-            index = sum(
-                digits[axis_offset[k] + self.settings_of[:, k]] * stride
-                for k, stride in enumerate(_strides(counts))
+        settings = self.sc.settings
+        axes_cards = [counts[k] for k in range(self.n) for _ in range(settings[k])]
+        n_grid = prod(axes_cards)
+        if n_grid * self.n_a > DC_GRID_CAP:
+            raise SearchSpaceTooLarge(
+                f"a class grid has {n_grid * self.n_a} cells ({n_grid} intervention "
+                f"outputs x {self.n_a} settings), above the cap {DC_GRID_CAP}"
             )
-            layout = (axes_cards, axis_offset, np.ascontiguousarray(index.T))
-            self._layouts[counts] = layout
-        return layout
+        axis_offset = [sum(settings[:k]) for k in range(self.n)]
+        digits = np.indices(axes_cards, dtype=np.int64).reshape(len(axes_cards), n_grid)
+        index = sum(
+            digits[axis_offset[k] + self.settings_of[:, k]] * stride
+            for k, stride in enumerate(_strides(counts))
+        )
+        return axes_cards, axis_offset, np.ascontiguousarray(index.T)
 
     def function_rows(self, fps: np.ndarray, reps: list[np.ndarray]):
         """Deduplicated fixed-point rows J(a) of functions sharing one class-count signature.
@@ -452,7 +452,7 @@ class _DcSearch:
         """
         m = fps.shape[0]
         counts = tuple(r.shape[1] for r in reps)
-        axes_cards, axis_offset, index = self._layout(counts)
+        axes_cards, axis_offset, index = self.layout(counts)
         # class table of function f: fps[f, reps[0][f, c_0], ..., reps[n-1][f, c_n-1]]
         cell = np.zeros((m,) + counts, dtype=np.int64)
         for k in range(self.n):
@@ -472,47 +472,49 @@ class _DcSearch:
         """The survey's distinct fixed-point rows in first-occurrence order, with their origins.
 
         Rows are met in survey order, then in each function's row order.
-        Returns (rows, (survey, grid, site), sites): distinct row r first
-        occurs at survey function ``survey[r]``, at flat index ``grid[r]``
-        into the grid of the ``function_rows`` call whose class info is
-        ``sites[site[r]]``.  The survey is walked once, in chunks of about
-        ``DC_BATCH_CELLS`` grid cells.
+        Returns (rows, survey, choices): distinct row r first occurs at
+        survey function ``survey[r]``, where party k's output choice at
+        setting a_k is ``self.choices(k)[choices[r, sum(settings[:k]) + a_k]]``.
+        The survey is walked once, in chunks of about ``DC_BATCH_CELLS`` grid
+        cells.
         """
         step = max(1, DC_BATCH_CELLS // max(prod(self.F), max(self.F) ** 2))
         rows = np.zeros((0, self.n_a), dtype=np.int64)
-        origin = np.zeros((3, 0), dtype=np.int64)
-        sites: list = []
+        # origin[r] = (survey index, output-choice index per (party, setting))
+        origin = np.zeros((0, 1 + sum(self.sc.settings)), dtype=np.int64)
         for lo in range(0, len(self.survey), step):
-            chunk_rows, chunk_origin = self._chunk_rows(lo, lo + step, sites)
-            # a chunk's calls come grouped by signature: sort by (survey index, grid index)
-            order = np.lexsort((chunk_origin[1], chunk_origin[0]))
+            chunk_rows, chunk_origin = self._chunk_rows(lo, lo + step)
+            # calls come grouped by signature, but each function's rows come from one
+            # call, in row order: a stable sort by survey index restores survey order
+            order = np.argsort(chunk_origin[:, 0], kind="stable")
             rows = np.concatenate([rows, chunk_rows[order]])
-            origin = np.concatenate([origin, chunk_origin[:, order]], axis=1)
+            origin = np.concatenate([origin, chunk_origin[order]])
             first = np.sort(_unique_rows(_digit_words(rows, self.sc.n_inputs))[1])
-            rows, origin = rows[first], origin[:, first]
-        return rows, tuple(origin), sites
+            rows, origin = rows[first], origin[first]
+        return rows, origin[:, 0], origin[:, 1:]
 
-    def _chunk_rows(self, lo: int, hi: int, sites: list):
+    def _chunk_rows(self, lo: int, hi: int):
         # A call of its own, so each function_rows result is freed once concatenated.
         fps = np.array([fp for _, fp in self.survey[lo:hi]], dtype=np.int64).reshape(-1, *self.F)
         firsts = self.first_choices(fps)
         counts = np.stack([mask.sum(axis=1) for mask in firsts], axis=1)
         signatures, group_of = np.unique(counts, axis=0, return_inverse=True)
         group_of = group_of.reshape(-1)
+        party_of_axis = np.repeat(np.arange(self.n), self.sc.settings)
         parts, origins = [], []
         for g, signature in enumerate(signatures.tolist()):
             members = np.flatnonzero(group_of == g)
-            n_grid = len(self._layout(tuple(signature))[2])
+            n_grid = len(self.layout(tuple(signature))[2])
             per = max(1, DC_BATCH_CELLS // (n_grid * self.n_a))
             for start in range(0, len(members), per):
                 part = members[start : start + per]
                 reps = [np.nonzero(mask[part])[1].reshape(len(part), -1) for mask in firsts]
-                rows, g_first, class_info = self.function_rows(fps[part], reps)
+                rows, g_first, (_, axes_cards, _) = self.function_rows(fps[part], reps)
+                function, *classes = np.unravel_index(g_first, axes_cards)
+                choices = [reps[k][function, c] for k, c in zip(party_of_axis, classes)]
                 parts.append(rows)
-                site = np.full_like(g_first, len(sites))
-                origins.append(np.stack([lo + part[g_first // n_grid], g_first, site]))
-                sites.append(class_info)
-        return np.concatenate(parts), np.concatenate(origins, axis=1)
+                origins.append(np.stack([lo + part[function], *choices], axis=1))
+        return np.concatenate(parts), np.concatenate(origins)
 
 
 _dc_search = lru_cache(maxsize=16)(_DcSearch)
@@ -555,6 +557,16 @@ def _input_components(search: _DcSearch, rows: np.ndarray) -> list[np.ndarray]:
     return [(rows // search.in_strides[k]) % search.sc.inputs[k] for k in range(search.n)]
 
 
+def _best_slices(
+    search: _DcSearch, icomp: list[np.ndarray], G: np.ndarray, last: int, others: list[int]
+) -> np.ndarray:
+    """Scores (rows, *grid) with the distinguished party's best slice at every setting."""
+    return sum(
+        functools.reduce(np.maximum, _slice_scores(search, icomp, G, last, others, a_last))
+        for a_last in range(search.sc.settings[last])
+    )
+
+
 def _hopt_values(
     search: _DcSearch, rows: np.ndarray, G: np.ndarray, last: int, others: list[int]
 ) -> np.ndarray:
@@ -571,10 +583,7 @@ def _hopt_values(
     values = np.empty(n_rows, dtype=np.int64)
     for start in range(0, n_rows, chunk):
         part = [c[start : start + chunk] for c in icomp]
-        total = sum(
-            functools.reduce(np.maximum, _slice_scores(search, part, G, last, others, a_last))
-            for a_last in range(search.sc.settings[last])
-        )
+        total = _best_slices(search, part, G, last, others)
         values[start : start + chunk] = total.reshape(len(part[0]), -1).max(axis=1)
     return values
 
@@ -585,57 +594,20 @@ def _hopt_detail(
     """The optimum for one row with its first-maximizing outcome maps.
 
     Returns the value, the other parties' outcome-map indices at the first
-    maximizing grid point, and the distinguished party's first maximizing
-    slice per setting there.
+    maximizing grid point (``np.argmax`` over the best-slice scores), and the
+    distinguished party's first maximizing slice per setting at that point,
+    scored again one slice array at a time.
     """
     icomp = _input_components(search, row.reshape(1, -1))
-    total = 0
-    first_slices = []
-    for a_last in range(search.sc.settings[last]):
-        best = first = None
-        for s, acc in enumerate(_slice_scores(search, icomp, G, last, others, a_last)):
-            if best is None:
-                best, first = acc, np.zeros_like(acc)
-            else:
-                first[acc > best] = s
-                best = np.maximum(best, acc)
-        total = total + best
-        first_slices.append(first.reshape(-1))
+    total = _best_slices(search, icomp, G, last, others).reshape(-1)
     flat = int(np.argmax(total))
     grid_idx = np.unravel_index(flat, tuple(search.H[k] for k in others)) if others else ()
     other_maps = {k: int(grid_idx[pos]) for pos, k in enumerate(others)}
-    return int(total.reshape(-1)[flat]), other_maps, [int(f[flat]) for f in first_slices]
-
-
-def _decode_intervention(
-    search: _DcSearch,
-    grid_flat: int,
-    class_info,
-    other_maps: dict[int, int],
-    last: int,
-    last_slices: list[int],
-) -> DeterministicIntervention:
-    sc = search.sc
-    reps, axes_cards, axis_offset = class_info
-    digits = np.unravel_index(grid_flat, axes_cards)
-    function = digits[0]
-
-    output_maps = []
-    outcome_maps = []
-    for k in range(search.n):
-        per_setting_out = []
-        per_setting_x = []
-        for a in range(sc.settings[k]):
-            rep = reps[k][function, digits[axis_offset[k] + a]]
-            per_setting_out.append(tuple(search.choices(k)[rep].tolist()))
-            if k == last:
-                x_map = search.smap(k)[last_slices[a]]
-            else:
-                x_map = search.hmap(k)[other_maps[k], a * sc.inputs[k] : (a + 1) * sc.inputs[k]]
-            per_setting_x.append(tuple(x_map.tolist()))
-        output_maps.append(tuple(per_setting_out))
-        outcome_maps.append(tuple(per_setting_x))
-    return DeterministicIntervention(tuple(output_maps), tuple(outcome_maps))
+    slices = [
+        int(np.argmax([acc.flat[flat] for acc in _slice_scores(search, icomp, G, last, others, a)]))
+        for a in range(search.sc.settings[last])
+    ]
+    return int(total[flat]), other_maps, slices
 
 
 @lru_cache(maxsize=16)
@@ -668,7 +640,7 @@ def dc_bound(game: Game, candidate_cap: int = CANDIDATE_CAP) -> DcBoundResult:
     if max(map(abs, nums)) * sc.n_settings >= 2**62:
         raise SearchSpaceTooLarge("scaled payoff would overflow 64-bit accumulation")
     G = np.array(nums, dtype=np.int64).reshape(sc.n_outcomes, sc.n_settings).T
-    rows, (survey, grid_flat, site), sites = search.rows
+    rows, survey, choices = search.rows
     work = len(rows) * grid * search.S[last] * search.n_a
     if work > DC_SCORE_WORK_CAP:
         raise SearchSpaceTooLarge(
@@ -681,8 +653,16 @@ def dc_bound(game: Game, candidate_cap: int = CANDIDATE_CAP) -> DcBoundResult:
     detail_value, other_maps, last_slices = _hopt_detail(search, rows[r], G, last, others)
     if detail_value != values[r]:  # pragma: no cover - batch and detail share the formulas
         raise AssertionError("witness reconstruction disagrees with the search optimum")
-    intervention = _decode_intervention(
-        search, int(grid_flat[r]), sites[site[r]], other_maps, last, last_slices
+
+    def maps(tables) -> tuple:  # per party, one map per setting
+        return tuple(tuple(map(tuple, table.tolist())) for table in tables)
+
+    outcome = {k: search.hmap(k)[h].reshape(sc.settings[k], -1) for k, h in other_maps.items()}
+    outcome[last] = search.smap(last)[last_slices]
+    per_party = np.split(choices[r], np.cumsum(sc.settings)[:-1])
+    intervention = DeterministicIntervention(
+        maps(search.choices(k)[c] for k, c in enumerate(per_party)),
+        maps(outcome[k] for k in range(search.n)),
     )
     return DcBoundResult(
         value=Fraction(detail_value, scale),

@@ -817,6 +817,33 @@ class TestGlobalOptions:
         runtime = json.loads(line)
         assert list(runtime) == ["runtime_ms"] and type(runtime["runtime_ms"]) is int
 
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["bound", "--game", "gyni", "--set", "causal"],
+            ["enum-pf", "--parties", "3", "--alphabet", "2", "--reduced"],
+        ],
+        ids=["bound", "enum-pf"],
+    )
+    def test_closed_stdout_exits_141_silently(self, args, unbuffered):
+        # a small buffered report fails at the final flush, a large or unbuffered
+        # one inside the handler; neither is bad input
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "causelab", *args],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
+
 
 class TestGoldenReports:
     """stdout of whole reports, pinned by SHA-256: a refactor keeps them byte-identical."""

@@ -24,6 +24,7 @@ from causelab import games as games_module
 from causelab.consistency import (
     CANDIDATE_CAP,
     OutputChoice,
+    QuasiProcessFunction,
     _survey_cached,
     enumerate_output_choices,
     enumerate_process_functions,
@@ -412,21 +413,24 @@ class TestDcBound:
     def test_rows_in_first_occurrence_order(self, monkeypatch, cells, cards):
         # 64 cells put one function in each chunk, so rows are merged across chunks
         monkeypatch.setattr(games_module, "DC_BATCH_CELLS", cells)
-        search = games_module._DcSearch(make_scenario(*cards), CANDIDATE_CAP)
-        rows, (survey, grid, site), sites = search.rows
+        sc = make_scenario(*cards)
+        search = games_module._DcSearch(sc, CANDIDATE_CAP)
+        rows, survey, choices = search.rows
         expected = first_occurrence_scan(cards)
         assert [tuple(row) for row in rows.tolist()] == list(expected)
         assert survey.tolist() == list(expected.values())
-        # each origin's class grid point reads its row off that function's table
+        # each row replays from its origin: the survey function's fixed point
+        # under the recorded output choices, at every joint setting
+        offset = [sum(sc.settings[:k]) for k in range(sc.n_parties)]
         for r in range(len(rows)):
-            reps, axes_cards, axis_offset = sites[site[r]]
-            digits = np.unravel_index(grid[r], axes_cards)
-            table = np.asarray(search.survey[survey[r]][1]).reshape(search.F)
-            for a_flat, a in enumerate(search.setting_tuples):
-                choice = tuple(
-                    reps[k][digits[0], digits[axis_offset[k] + a[k]]] for k in range(search.n)
-                )
-                assert table[choice] == rows[r, a_flat]
+            omega = QuasiProcessFunction(sc, search.survey[survey[r]][0])
+            for a_flat, a in enumerate(sc.setting_tuples()):
+                choice = OutputChoice(tuple(
+                    tuple(search.choices(k)[choices[r, offset[k] + a[k]]].tolist())
+                    for k in range(sc.n_parties)
+                ))
+                (i,) = fixed_points(omega, choice)
+                assert flatten(i, sc.inputs) == rows[r, a_flat]
 
     def test_outcome_map_cap_is_read_before_the_survey(self, monkeypatch):
         # 4 settings and 4-dimensional inputs: each party has 2^16 outcome maps,
@@ -904,3 +908,52 @@ class TestGoldenWitnesses:
         assert result.witness_function.maps == ((0, 0, 0, 0), (0, 0, 0, 0))
         assert result.witness_intervention.output_maps == (((0, 0), (0, 0)), ((0, 0), (0, 0)))
         assert result.witness_intervention.outcome_maps == (((0, 0), (1, 0)), ((0, 0), (1, 0)))
+
+    # A seeded random game per scenario pins the first-maximum tie-breaks beyond
+    # the built-ins: the asymmetric scenario has mixed alphabets per party, the
+    # three-setting one a distinguished party with three slices per row, and
+    # the one-party one no other parties to grid over.
+    RANDOM_DC_WITNESSES = [
+        (
+            Scenario((2, 3), (3, 2), (2, 3), (3, 2)), Fraction(12, 7), 60,
+            ((0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1)),
+            (((0, 0), (2, 0)), ((0, 0, 0), (0, 0, 0), (0, 0, 0))),
+            (((2, 0), (2, 0)), ((0, 1, 0), (0, 0, 0), (1, 0, 0))),
+        ),
+        (
+            make_scenario(2, 3, 2, 2, 2), Fraction(7, 10), 12,
+            ((0, 1, 0, 1), (0, 0, 0, 0)),
+            (((0, 0), (0, 0), (0, 0)), ((0, 0), (1, 0), (1, 0))),
+            (((0, 1), (0, 1), (0, 0)), ((0, 0), (0, 0), (1, 0))),
+        ),
+        (
+            make_scenario(1, 2, 2, 2, 2), Fraction(1), 2,
+            ((0, 0),),
+            (((0, 0), (0, 0)),),
+            (((1, 0), (1, 0)),),
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "scenario, value, searched, function, output_maps, outcome_maps",
+        RANDOM_DC_WITNESSES,
+        ids=["asymmetric", "three-settings", "one-party"],
+    )
+    def test_random_game_dc_witness(
+        self, scenario, value, searched, function, output_maps, outcome_maps
+    ):
+        rng = random.Random(7)
+        payoff = [rng.randint(-3, 3) for _ in range(scenario.n_outcomes * scenario.n_settings)]
+        weights = [rng.randint(1, 4) for _ in range(scenario.n_settings)]
+        game = Game(scenario, tuple(payoff), tuple(Fraction(w, sum(weights)) for w in weights))
+        result = dc_bound.__wrapped__(game)
+        assert result.value == value
+        assert result.functions_searched == searched
+        assert result.witness_function.maps == function
+        assert result.witness_intervention.output_maps == output_maps
+        assert result.witness_intervention.outcome_maps == outcome_maps
+        replay = evaluate_correlation(
+            quasiprocess_from_function(result.witness_function),
+            result.witness_intervention.to_family(scenario),
+        )
+        assert score(game, replay.to_correlation()) == value
