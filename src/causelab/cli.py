@@ -4,10 +4,11 @@ Command-line surface tying the library into reproducible experiments.
 Every subcommand writes one JSON report to stdout embedding the command, the
 effective configuration (format, caps), and the library version, with
 sorted keys so that identical configurations produce byte-identical reports.
-Timing goes to stderr.  Exit codes: 0 success, 1 property violated or an
-inconsistent object detected, 2 bad input (including an input path that
-cannot be read), 3 a cap was exceeded, 141 (128 + SIGPIPE) stdout was closed
-by its reader, with nothing written to stderr.
+Timing and errors go to stderr as JSON lines, dropped if its reader has gone.
+Exit codes: 0 success, 1 property violated or an inconsistent object
+detected, 2 bad input (including an input path that cannot be read), 3 a cap
+was exceeded, 141 (128 + SIGPIPE) stdout was closed by its reader, with
+nothing written to stderr.
 
 Importing this module imports every causelab module but not numpy: the
 numeric modules take ``np`` from ``causelab._lazy``, which loads numpy on the
@@ -430,6 +431,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _to_devnull(stream) -> None:
+    """Point a stream's descriptor at /dev/null, so what is still buffered is dropped at exit."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _exit(code: int, payload: dict) -> int:
+    """Write ``payload`` as the one stderr line and return the exit code; the line
+    is dropped, and the code kept, when stderr's reader has gone."""
+    try:
+        print(json.dumps(payload), file=sys.stderr, flush=True)
+    except BrokenPipeError:
+        _to_devnull(sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -442,27 +460,19 @@ def main(argv: list[str] | None = None) -> int:
     if args.cap_candidates < 1:
         problem = f"--cap-candidates must be at least 1, got {args.cap_candidates}"
     if problem:
-        print(json.dumps({"error": "bad-input", "message": problem}), file=sys.stderr)
-        return 2
+        return _exit(2, {"error": "bad-input", "message": problem})
     started = time.monotonic()
     try:
         code = args.handler(args)
         sys.stdout.flush()
     except BrokenPipeError:
-        # The reader closed stdout: exit as SIGPIPE would, and send the
-        # interpreter's final flush of what is still buffered to /dev/null.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # The reader closed stdout: exit as SIGPIPE would.
+        _to_devnull(sys.stdout)
         return 141
-    except SearchSpaceTooLarge as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 3
     except (CauselabError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 2
-    print(json.dumps({"runtime_ms": int((time.monotonic() - started) * 1000)}), file=sys.stderr)
-    return code
+        code = 3 if isinstance(exc, SearchSpaceTooLarge) else 2
+        return _exit(code, {"error": type(exc).__name__, "message": str(exc)})
+    return _exit(code, {"runtime_ms": int((time.monotonic() - started) * 1000)})
 
 
 if __name__ == "__main__":

@@ -35,7 +35,8 @@ from ._lazy import np
 from ._record import Record
 from .errors import InvalidMixture, SearchSpaceTooLarge
 from .lp import _scaled
-from .scenario import QuasiProcess, Scenario, conditional_table, flatten, iter_tuples, unflatten
+from .scenario import QuasiProcess, Scenario, conditional_table, flatten, iter_tuples
+from .scenario import strides, unflatten
 
 CANDIDATE_CAP = 2**32
 # Survey steps (candidates x output choices x joint inputs) allowed in one
@@ -150,10 +151,10 @@ def _choice_masses(scenario: Scenario, nums: Sequence[int]) -> list[int]:
     n_o = scenario.n_outputs
     alphabets = list(zip(scenario.inputs, scenario.outputs))
     offsets = [0]
-    for k, (d_i, d_o) in enumerate(alphabets):
-        i_place, o_place = prod(scenario.inputs[k + 1 :]) * n_o, prod(scenario.outputs[k + 1 :])
+    places = zip(strides(scenario.inputs), strides(scenario.outputs))
+    for (d_i, d_o), (i_place, o_place) in zip(alphabets, places):
         offsets = [
-            base + v * i_place + w * o_place
+            base + v * i_place * n_o + w * o_place
             for base in offsets
             for v in range(d_i)
             for w in range(d_o)
@@ -286,10 +287,9 @@ def _survey_process_functions(
         )
     axes, _ = _candidate_axes(scenario, reduced)
     choice_io = _choice_input_to_output_tables(scenario)
-    in_strides = [prod(scenario.inputs[k + 1 :]) for k in range(scenario.n_parties)]
     # Candidate t's component k is axis k's entry at digit t // place[k] % len(axis).
-    place = [prod(len(axis) for axis in axes[k + 1 :]) for k in range(len(axes))]
-    components = [axis * stride for axis, stride in zip(axes, in_strides)]
+    place = strides([len(axis) for axis in axes])
+    components = [axis * stride for axis, stride in zip(axes, strides(scenario.inputs))]
     batch = max(1, SURVEY_BATCH_ELEMENTS // choice_io.size)
     identity = np.arange(scenario.n_inputs)
 

@@ -58,6 +58,7 @@ from .scenario import (
     flatten,
     iter_tuples,
     make_scenario,
+    strides,
     universal_realization,
 )
 
@@ -255,7 +256,7 @@ def causal_bound(game: Game) -> CausalBoundResult:
     n = sc.n_parties
     n_a = sc.n_settings
     phi = game.phi
-    a_strides, x_strides = _strides(sc.settings), _strides(sc.outcomes)
+    a_strides, x_strides = strides(sc.settings), strides(sc.outcomes)
     # (parties to act, a_flat, x_flat) -> (value, acting party, outcome per setting);
     # a party yet to act adds 0 to both flat indices, and the mask tells it apart.
     memo: dict[tuple[int, int, int], tuple[Fraction, int, tuple[int, ...]]] = {}
@@ -310,13 +311,6 @@ def causal_bound(game: Game) -> CausalBoundResult:
 # ---------------------------------------------------------------------------
 # deterministic-consistency (process-function) bound
 # ---------------------------------------------------------------------------
-
-
-def _strides(cards: Sequence[int]) -> list[int]:
-    out = [1] * len(cards)
-    for k in range(len(cards) - 2, -1, -1):
-        out[k] = out[k + 1] * cards[k + 1]
-    return out
 
 
 def _digit_words(digits: np.ndarray, base: int) -> np.ndarray:
@@ -382,9 +376,9 @@ class _DcSearch:
         # run before any table exists.
         self.choices = functools.cache(lambda k: _lex_maps(scenario.inputs[k], scenario.outputs[k]))
         self.F = [d_o**d_i for d_o, d_i in zip(scenario.outputs, scenario.inputs)]
-        self.fp_strides = _strides(self.F)
-        self.in_strides = _strides(scenario.inputs)
-        self.x_strides = _strides(scenario.outcomes)
+        self.fp_strides = strides(self.F)
+        self.in_strides = strides(scenario.inputs)
+        self.x_strides = strides(scenario.outcomes)
         self.ncells = [scenario.settings[k] * scenario.inputs[k] for k in range(self.n)]
         self.hmap = functools.cache(lambda k: _lex_maps(self.ncells[k], scenario.outcomes[k]))
         self.smap = functools.cache(lambda k: _lex_maps(scenario.inputs[k], scenario.outcomes[k]))
@@ -434,7 +428,7 @@ class _DcSearch:
         digits = np.indices(axes_cards, dtype=np.int64).reshape(len(axes_cards), n_grid)
         index = sum(
             digits[axis_offset[k] + self.settings_of[:, k]] * stride
-            for k, stride in enumerate(_strides(counts))
+            for k, stride in enumerate(strides(counts))
         )
         return axes_cards, axis_offset, np.ascontiguousarray(index.T)
 

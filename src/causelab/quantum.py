@@ -16,6 +16,12 @@ the correlation rule is a plain trace against the process operator, and the
 basis-diagonal restriction reproduces the classical evaluator exactly (up to
 float roundoff), entry for entry.
 
+One kernel, ``_trace_rule``, returns Tr[W (M_1 (x) ... (x) M_n)] for every
+tuple drawn from per-party operator stacks, one Kronecker product per tuple.
+The correlations read it at the instruments' (setting, outcome) operators, and
+validity at every tuple of the parties' normalization families; both callers
+first check its work against ``VALIDITY_WORK_CAP``.
+
 This module is the only floating-point corner of the package: spectra and the
 target values here are irrational, so doubles with fixed tolerances (1e-9 for
 validity, 1e-12 for the diagonal bridge) replace exact rationals.
@@ -23,7 +29,6 @@ validity, 1e-12 for the diagonal bridge) replace exact rationals.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import json
@@ -41,13 +46,17 @@ from .scenario import (
     Scenario,
     canonical_interventions,
     flatten,
+    unflatten,
 )
 
 VALIDITY_ATOL = 1e-9
 DIAGONAL_ATOL = 1e-12
-# Normalization tuples x matrix entries one validity check may touch; the
-# tuple loop runs about 8e7 entries per second on one core.
+# Operator tuples x matrix entries one trace rule (validity or correlations) may
+# touch; the tuple loop runs about 8e7 entries per second on one core.
 VALIDITY_WORK_CAP = 10**9
+# Entries each tuple counts at least: a tuple of 1x1 operators still takes
+# about 41 us, about 3,300 entries at that rate.
+TUPLE_ENTRY_FLOOR = 64**2
 # Entries held at once (16 bytes each) by all parties' normalization families,
 # or by all parties' classical instrument operators.
 VALIDITY_FAMILY_CELL_CAP = 1 << 24
@@ -56,23 +65,45 @@ OCB_DATA_RESOURCE = "ocb_process.json"
 OCB_DATA_SHA256 = "3440c3e5128dae57648a37c7cde9f8e34ded33ae04af950731e2b1f9d02784b4"
 
 
-def _as_complex_matrix(data, dim: int) -> np.ndarray:
-    mat = np.array(data, dtype=np.complex128)
-    if mat.shape != (dim, dim):
-        raise InvalidTable(f"expected a {dim}x{dim} matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat.view(np.float64))):
+def _as_complex_array(data, lead: tuple[int, ...], dim: int) -> np.ndarray:
+    """Frozen complex copy of ``data`` with shape ``lead + (dim, dim)``, every entry and
+    every w + w^H of its trailing matrices finite."""
+    try:
+        arr = np.array(data, dtype=np.complex128)
+    except ValueError:  # nested matrices of unequal shapes
+        raise InvalidTable(f"expected {dim}x{dim} matrices of one shape") from None
+    if arr.shape != lead + (dim, dim):
+        raise InvalidTable(f"expected a {dim}x{dim} matrix, got shape {arr.shape[len(lead):]}")
+    if not np.all(np.isfinite(arr.view(np.float64))):
         raise InvalidTable("matrix contains non-finite entries")
     # validity reads the Hermitian part, so w + w^H must stay finite as well
     with np.errstate(over="ignore"):
-        if not np.all(np.isfinite((mat + mat.conj().T).view(np.float64))):
+        if not np.all(np.isfinite((arr + arr.conj().swapaxes(-1, -2)).view(np.float64))):
             raise InvalidTable("matrix entries overflow w + w^H")
-    mat.setflags(write=False)
-    return mat
+    arr.setflags(write=False)
+    return arr
 
 
-def trace_product(a: np.ndarray, b: np.ndarray) -> complex:
-    """Tr(a @ b) without forming the product."""
-    return complex(np.sum(a * b.T))
+def _check_trace_rule_work(what: str, kind: str, tuples: int, dim: int) -> None:
+    """Refuse ``tuples`` trace-rule tuples on a ``dim``-dimensional space, each counting
+    max(dim^2, ``TUPLE_ENTRY_FLOOR``) entries, above ``VALIDITY_WORK_CAP``."""
+    steps = tuples * max(dim**2, TUPLE_ENTRY_FLOOR)
+    if steps > VALIDITY_WORK_CAP:
+        entries = f"{dim}^2" if dim**2 >= TUPLE_ENTRY_FLOOR else str(TUPLE_ENTRY_FLOOR)
+        raise SearchSpaceTooLarge(
+            f"{what} needs {steps} steps ({tuples} {kind} tuples x {entries} entries), "
+            f"above the work cap {VALIDITY_WORK_CAP}"
+        )
+
+
+def _trace_rule(w: np.ndarray, stacks: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
+    """Tr[w (M_1 (x) ... (x) M_n)] for every tuple of the parties' operator stacks, in
+    ``itertools.product`` order (party 0's index most significant)."""
+    products = (functools.reduce(np.kron, ops) for ops in itertools.product(*stacks))
+    # entries that each pass their own check may still overflow together
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (np.sum(w * m.T) for m in products)
+        return np.fromiter(values, np.complex128, prod(map(len, stacks)))
 
 
 def cj_from_kraus(kraus: Sequence[np.ndarray], d_in: int, d_out: int) -> np.ndarray:
@@ -93,29 +124,28 @@ def cj_from_kraus(kraus: Sequence[np.ndarray], d_in: int, d_out: int) -> np.ndar
 
 
 class InstrumentCJ(Record, eq=False):
-    """One party's local operations: a CJ operator per (setting, outcome)."""
+    """One party's local operations: ``operators[a, x]`` is the CJ operator of
+    outcome x at setting a, one frozen complex array of shape (settings,
+    outcomes, d_in * d_out, d_in * d_out); nested sequences are stacked into it."""
 
     d_in: int
     d_out: int
-    operators: tuple[tuple[np.ndarray, ...], ...]
+    operators: np.ndarray
 
     def __post_init__(self) -> None:
-        dim = self.d_in * self.d_out
-        frozen = tuple(
-            tuple(_as_complex_matrix(op, dim) for op in per_setting)
-            for per_setting in self.operators
-        )
-        if not frozen or any(len(row) != len(frozen[0]) for row in frozen):
+        ops = self.operators
+        if not len(ops) or any(len(row) != len(ops[0]) for row in ops):
             raise InvalidTable("instrument needs the same outcome count for every setting")
-        object.__setattr__(self, "operators", frozen)
+        lead = (len(ops), len(ops[0]))
+        object.__setattr__(self, "operators", _as_complex_array(ops, lead, self.d_in * self.d_out))
 
     @property
     def n_settings(self) -> int:
-        return len(self.operators)
+        return self.operators.shape[0]
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.operators[0])
+        return self.operators.shape[1]
 
 
 class InstrumentReport(Record):
@@ -124,27 +154,18 @@ class InstrumentReport(Record):
     marginal_deviation: float
 
 
-def _partial_trace_out(mat: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
-    return np.einsum("iojo->ij", mat.reshape(d_in, d_out, d_in, d_out))
-
-
 def is_valid_instrument(instr: InstrumentCJ) -> InstrumentReport:
     """Each element PSD and the per-setting sum trace-preserving, within ``VALIDITY_ATOL``."""
-    min_eig = np.inf
-    marginal_dev = 0.0
-    identity = np.eye(instr.d_in)
-    for per_setting in instr.operators:
-        total = np.zeros((instr.d_in * instr.d_out,) * 2, dtype=np.complex128)
-        for op in per_setting:
-            herm_dev = float(np.max(np.abs(op - op.conj().T)))
-            marginal_dev = max(marginal_dev, herm_dev)
-            min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh((op + op.conj().T) / 2))))
-            total = total + op
-        reduced = _partial_trace_out(total, instr.d_in, instr.d_out)
-        marginal_dev = max(marginal_dev, float(np.max(np.abs(reduced - identity))))
+    ops, d_in, d_out = instr.operators, instr.d_in, instr.d_out
+    adjoint = ops.conj().swapaxes(-1, -2)
+    min_eig = float(np.min(np.linalg.eigvalsh((ops + adjoint) / 2)))
+    totals = ops.sum(axis=1).reshape(instr.n_settings, d_in, d_out, d_in, d_out)
+    marginals = np.einsum("siojo->sij", totals)
+    herm_dev = float(np.max(np.abs(ops - adjoint)))
+    marginal_dev = max(herm_dev, float(np.max(np.abs(marginals - np.eye(d_in)))))
     return InstrumentReport(
         valid=(min_eig >= -VALIDITY_ATOL and marginal_dev <= VALIDITY_ATOL),
-        min_eigenvalue=float(min_eig),
+        min_eigenvalue=min_eig,
         marginal_deviation=marginal_dev,
     )
 
@@ -157,7 +178,7 @@ class ProcessMatrix(Record, eq=False):
 
     def __post_init__(self) -> None:
         dim = prod(self.scenario.inputs) * prod(self.scenario.outputs)
-        object.__setattr__(self, "matrix", _as_complex_matrix(self.matrix, dim))
+        object.__setattr__(self, "matrix", _as_complex_array(self.matrix, (), dim))
 
     @property
     def dim(self) -> int:
@@ -203,19 +224,14 @@ def is_valid_process_matrix(pm: ProcessMatrix) -> ProcessMatrixReport:
     """Positivity plus unit trace against every tuple of trace-preserving maps, within
     ``VALIDITY_ATOL``.
 
-    Before any family is built, the tuples times the matrix's entries are
-    checked against ``VALIDITY_WORK_CAP`` and the families' own entries against
+    Before any family is built, the tuples' work (see ``_check_trace_rule_work``)
+    is checked against ``VALIDITY_WORK_CAP`` and the families' own entries against
     ``VALIDITY_FAMILY_CELL_CAP``; both are read off the family size formula.
     """
     sc = pm.scenario
     dims = [d_in * d_out for d_in, d_out in zip(sc.inputs, sc.outputs)]
     sizes = [dim**2 - d_in**2 + 1 for dim, d_in in zip(dims, sc.inputs)]  # len of each family
-    tuples = prod(sizes)
-    if tuples * pm.dim**2 > VALIDITY_WORK_CAP:
-        raise SearchSpaceTooLarge(
-            f"process-matrix validity needs {tuples * pm.dim**2} steps ({tuples} normalization "
-            f"tuples x {pm.dim}^2 entries), above the work cap {VALIDITY_WORK_CAP}"
-        )
+    _check_trace_rule_work("process-matrix validity", "normalization", prod(sizes), pm.dim)
     cells = sum(size * dim**2 for size, dim in zip(sizes, dims))
     if cells > VALIDITY_FAMILY_CELL_CAP:
         raise SearchSpaceTooLarge(
@@ -228,14 +244,9 @@ def is_valid_process_matrix(pm: ProcessMatrix) -> ProcessMatrixReport:
     min_eig = float(np.min(np.linalg.eigvalsh((w + w.conj().T) / 2)))
 
     families = [_normalization_family(d_in, d_out) for d_in, d_out in zip(sc.inputs, sc.outputs)]
-    norm_dev = 0.0
-    for combo in itertools.product(*families):
-        value = trace_product(w, functools.reduce(np.kron, combo))
-        norm_dev = max(norm_dev, abs(value - 1.0))
+    norm_dev = float(np.max(np.abs(_trace_rule(w, families) - 1.0)))
     return ProcessMatrixReport(
-        valid=(
-            herm_dev <= VALIDITY_ATOL and min_eig >= -VALIDITY_ATOL and norm_dev <= VALIDITY_ATOL
-        ),
+        valid=herm_dev <= VALIDITY_ATOL and min_eig >= -VALIDITY_ATOL and norm_dev <= VALIDITY_ATOL,
         hermiticity_deviation=herm_dev,
         min_eigenvalue=min_eig,
         normalization_deviation=norm_dev,
@@ -255,16 +266,14 @@ class NumericCorrelation(Record):
 
     def setting_mass(self) -> tuple[float, ...]:
         n_a = self.scenario.n_settings
-        return tuple(
-            sum(self.table[x_flat * n_a + a_flat] for x_flat in range(self.scenario.n_outcomes))
-            for a_flat in range(n_a)
-        )
+        return tuple(sum(self.table[a_flat::n_a]) for a_flat in range(n_a))
 
 
 def pm_correlation(
     pm: ProcessMatrix, instruments: Sequence[InstrumentCJ]
 ) -> NumericCorrelation:
-    """The trace rule: p(x|a) = Tr[W  tensor_k  M_{x_k|a_k}]."""
+    """The trace rule: p(x|a) = Tr[W  tensor_k  M_{x_k|a_k}], one kernel tuple per (x, a),
+    whose work is checked against ``VALIDITY_WORK_CAP`` before any is formed."""
     sc = pm.scenario
     if len(instruments) != sc.n_parties:
         raise ScenarioMismatch(f"expected {sc.n_parties} instruments, got {len(instruments)}")
@@ -273,23 +282,22 @@ def pm_correlation(
             raise ScenarioMismatch(f"instrument {k} dimensions do not match the scenario")
         if instr.n_settings != sc.settings[k] or instr.n_outcomes != sc.outcomes[k]:
             raise ScenarioMismatch(f"instrument {k} alphabet sizes do not match the scenario")
-
-    n_a, n_x = sc.n_settings, sc.n_outcomes
-    table = [0.0] * (n_x * n_a)
-    max_imag = 0.0
-    # entries that each pass their own check may still overflow together
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a_flat, a in enumerate(sc.setting_tuples()):
-            for x_flat, x in enumerate(sc.outcome_tuples()):
-                ops = (instr.operators[a_k][x_k] for instr, a_k, x_k in zip(instruments, a, x))
-                value = trace_product(pm.matrix, functools.reduce(np.kron, ops))
-                if not cmath.isfinite(value):
-                    raise InvalidTable(
-                        f"the trace rule overflows at settings {a}, outcomes {x}: {value}"
-                    )
-                max_imag = max(max_imag, abs(value.imag))
-                table[x_flat * n_a + a_flat] = value.real
-    return NumericCorrelation(sc, tuple(table), max_imag)
+    _check_trace_rule_work("the trace rule", "instrument", sc.n_settings * sc.n_outcomes, pm.dim)
+    stacks = [instr.operators.reshape(-1, *instr.operators.shape[2:]) for instr in instruments]
+    # the kernel's order is (a_0, x_0, a_1, x_1, ...); the table's is (x, a)
+    axes = [card for pair in zip(sc.settings, sc.outcomes) for card in pair]
+    table = _trace_rule(pm.matrix, stacks).reshape(axes)
+    table = table.transpose([*range(1, table.ndim, 2), *range(0, table.ndim, 2)])
+    table = table.reshape(sc.n_outcomes, sc.n_settings)
+    overflows = np.argwhere(~np.isfinite(table.T))  # in (a, x) order
+    if len(overflows):
+        a_flat, x_flat = map(int, overflows[0])
+        raise InvalidTable(
+            f"the trace rule overflows at settings {unflatten(a_flat, sc.settings)}, outcomes "
+            f"{unflatten(x_flat, sc.outcomes)}: {complex(table[x_flat, a_flat])}"
+        )
+    max_imag = float(np.max(np.abs(table.imag)))
+    return NumericCorrelation(sc, tuple(table.real.ravel().tolist()), max_imag)
 
 
 def _party_major(n_parties: int) -> list[int]:
@@ -314,9 +322,7 @@ def classical_from_diagonal(pm: ProcessMatrix) -> QuasiProcess:
     and may then fail the quasi-process normalization check.
     """
     sc = pm.scenario
-    off = pm.matrix.copy()
-    np.fill_diagonal(off, 0.0)
-    worst = float(np.max(np.abs(off)))
+    worst = float(np.max(np.abs(pm.matrix - np.diag(pm.matrix.diagonal()))))
     if worst > DIAGONAL_ATOL:
         raise NonDiagonal(f"largest off-diagonal magnitude {worst} exceeds {DIAGONAL_ATOL}")
     axes = _party_major(sc.n_parties)
@@ -330,27 +336,19 @@ def classical_instruments(family: InterventionFamily) -> list[InstrumentCJ]:
     The dense operators' entries are checked against ``VALIDITY_FAMILY_CELL_CAP``
     before any is allocated."""
     sc = family.scenario
-    cells = sum(
-        a * x * (d_in * d_out) ** 2
-        for a, x, d_in, d_out in zip(sc.settings, sc.outcomes, sc.inputs, sc.outputs)
-    )
+    parties = list(zip(sc.settings, sc.outcomes, sc.inputs, sc.outputs))
+    cells = sum(a * x * (d_in * d_out) ** 2 for a, x, d_in, d_out in parties)
     if cells > VALIDITY_FAMILY_CELL_CAP:
         raise SearchSpaceTooLarge(
             f"classical instruments need {cells} operator entries (sum over parties of "
             f"settings x outcomes x local dimension^2), above the cap {VALIDITY_FAMILY_CELL_CAP}"
         )
     out = []
-    for k, table in enumerate(family.tables):
-        d_in, d_out = sc.inputs[k], sc.outputs[k]
-        dim = d_in * d_out
-        probs = np.array(table, dtype=np.float64).reshape(
-            sc.outcomes[k], d_out, sc.settings[k], d_in
-        )
+    for (a, x, d_in, d_out), table in zip(parties, family.tables):
+        probs = np.array(table, dtype=np.float64).reshape(x, d_out, a, d_in)
         # diag[a, x] lists p(x, o | a, i) at the diagonal position i * d_out + o
-        diag = probs.transpose(2, 0, 3, 1).reshape(sc.settings[k], sc.outcomes[k], dim)
-        ops = np.zeros(diag.shape + (dim,), dtype=np.complex128)
-        ops[..., np.arange(dim), np.arange(dim)] = diag
-        out.append(InstrumentCJ(d_in, d_out, tuple(map(tuple, ops))))
+        diag = probs.transpose(2, 0, 3, 1).reshape(a, x, d_in * d_out)
+        out.append(InstrumentCJ(d_in, d_out, diag[..., None] * np.eye(d_in * d_out)))
     return out
 
 
@@ -358,9 +356,7 @@ def builtin_bfw() -> tuple[ProcessMatrix, list[InstrumentCJ]]:
     """Diagonal realization of the cyclic-copy/anticopy mixture with the
     canonical copy instruments; wins the tripartite game with certainty."""
     qp = bfw_process()
-    pm = diagonal_from_classical(qp)
-    instruments = classical_instruments(canonical_interventions(qp.scenario))
-    return pm, instruments
+    return diagonal_from_classical(qp), classical_instruments(canonical_interventions(qp.scenario))
 
 
 def builtin_ocb() -> tuple[ProcessMatrix, list[InstrumentCJ]]:
@@ -375,9 +371,7 @@ def builtin_ocb() -> tuple[ProcessMatrix, list[InstrumentCJ]]:
     raw = data_path.read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
     if digest != OCB_DATA_SHA256:
-        raise InvalidTable(
-            f"vendored process data checksum mismatch: {digest} != {OCB_DATA_SHA256}"
-        )
+        raise InvalidTable(f"vendored process data checksum mismatch: {digest} != {OCB_DATA_SHA256}")
     payload = json.loads(raw.decode("utf-8"))
     return (
         serialize.process_matrix_from_json(payload),

@@ -48,6 +48,11 @@ def flatten(index: Sequence[int], cards: Sequence[int]) -> int:
     return flat
 
 
+def strides(cards: Sequence[int]) -> list[int]:
+    """Each component's place value in :func:`flatten`."""
+    return [prod(cards[k + 1 :]) for k in range(len(cards))]
+
+
 def unflatten(flat: int, cards: Sequence[int]) -> tuple[int, ...]:
     """Inverse of :func:`flatten`."""
     total = prod(cards)
@@ -348,8 +353,8 @@ def evaluate_correlation(
     # support[k][a_k * d_I + i_k]: party k's nonzero entries in that column, as
     # (x_k times its place in flat(x), o_k times its place in flat(o), probability)
     support = []
-    for k, local in enumerate(interventions.tables):
-        x_place, o_place = prod(sc.outcomes[k + 1 :]), prod(sc.outputs[k + 1 :])
+    places = zip(strides(sc.outcomes), strides(sc.outputs))
+    for k, (local, (x_place, o_place)) in enumerate(zip(interventions.tables, places)):
         rows = [(x * x_place, o * o_place) for x, o in iter_tuples((sc.outcomes[k], sc.outputs[k]))]
         n_cols = sc.settings[k] * sc.inputs[k]
         support.append(

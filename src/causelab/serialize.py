@@ -226,10 +226,7 @@ def instruments_to_json(instruments: Sequence[InstrumentCJ]) -> dict:
             {
                 "d_in": instr.d_in,
                 "d_out": instr.d_out,
-                "operators": [
-                    [_matrix_to_pairs(op) for op in per_setting]
-                    for per_setting in instr.operators
-                ],
+                "operators": [list(map(_matrix_to_pairs, row)) for row in instr.operators],
             }
             for instr in instruments
         ]

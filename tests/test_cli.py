@@ -650,7 +650,65 @@ class TestClassify:
         assert proc.returncode == 2
 
 
+def ocb_instruments_with(edit) -> dict:
+    """ocb's instruments document after ``edit(parties)``."""
+    from causelab.quantum import builtin_ocb as builtin_ocb_process
+
+    document = ser.instruments_to_json(builtin_ocb_process()[1])
+    edit(document["parties"])
+    return document
+
+
+def _set_entries(operator: list, entries: dict) -> None:
+    for index, pair in entries.items():
+        operator[index] = pair
+
+
 class TestPmEval:
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda parties: parties[0]["operators"][1].pop(),
+             "instrument needs the same outcome count for every setting"),
+            (lambda parties: parties[0]["operators"][0][1].__delitem__(slice(4, None)),
+             "instrument party 0 operator needs 16 entries, got 4"),
+            (lambda parties: _set_entries(parties[1]["operators"][1][0], {3: [float("inf"), 0.0]}),
+             "matrix contains non-finite entries"),
+            (lambda parties: _set_entries(parties[1]["operators"][0][1], {1: [1e308, 0.0], 4: [1e308, 0.0]}),
+             "matrix entries overflow w + w^H"),
+        ],
+        ids=["ragged-outcomes", "two-operator-shapes", "non-finite", "hermitian-overflow"],
+    )
+    def test_bad_instruments_file_exits_two(self, tmp_path, capsys, edit, message):
+        path = tmp_path / "instruments.json"
+        path.write_text(json.dumps(ocb_instruments_with(edit)))
+        assert main(["pm-eval", "--process", "ocb", "--instruments", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line) == {"error": "InvalidTable", "message": message}
+
+    def test_trace_rule_cap_exits_three_at_once(self, tmp_path, capsys):
+        # two parties with 100 settings x 100 outcomes of 1x1 operators: a 300 KB
+        # file whose 10^8 trace-rule tuples would take over an hour
+        scenario = {"settings": [100] * 2, "outcomes": [100] * 2, "inputs": [1] * 2, "outputs": [1] * 2}
+        party = {"d_in": 1, "d_out": 1, "operators": [[[[0.01, 0.0]]] * 100] * 100}
+        pm_path, instr_path = tmp_path / "pm.json", tmp_path / "instruments.json"
+        pm_path.write_text(json.dumps({"scenario": scenario, "w": [[1.0, 0.0]]}))
+        instr_path.write_text(json.dumps({"parties": [party, party]}))
+        started = time.monotonic()
+        code = main(["pm-eval", "--process", str(pm_path), "--instruments", str(instr_path)])
+        assert time.monotonic() - started < 1.0
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "error": "SearchSpaceTooLarge",
+            "message": "the trace rule needs 409600000000 steps (100000000 instrument tuples "
+            "x 4096 entries), above the work cap 1000000000",
+        }
+
     def test_ocb_score(self):
         proc = run_cli("pm-eval", "--process", "ocb", "--instruments", "ocb")
         assert proc.returncode == 0
@@ -843,6 +901,40 @@ class TestGlobalOptions:
             os.close(write_end)
         assert proc.returncode == 141
         assert proc.stderr == b""
+
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["bound", "--game", "gyni", "--set", "causal"], 0),
+            (["bound", "--game", "nope", "--set", "causal"], 2),
+            (["--cap-candidates", "0", "enum-pf", "--parties", "2", "--alphabet", "2"], 2),
+            (["enum-pf", "--parties", "4", "--alphabet", "2", "--reduced"], 3),
+        ],
+        ids=["success", "bad-input", "bad-option", "cap"],
+    )
+    def test_closed_stderr_keeps_the_exit_code(self, args, code, unbuffered):
+        # the runtime and error lines are lost with their reader; the report and
+        # the exit code are not
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "causelab", *args],
+                stdout=subprocess.PIPE, stderr=write_end, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == code
+        expected = subprocess.run(
+            [sys.executable, "-m", "causelab", *args], capture_output=True, env=env, timeout=120
+        )
+        assert expected.returncode == code
+        assert proc.stdout == expected.stdout
 
 
 class TestGoldenReports:

@@ -1,10 +1,13 @@
+import functools
 import itertools
 import random
 import time
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causelab import (
     ProcessFunctionMixture,
@@ -29,6 +32,7 @@ from causelab.quantum import (
     diagonal_from_classical,
     is_valid_instrument,
     _normalization_family,
+    _trace_rule,
     is_valid_process_matrix,
     pm_correlation,
 )
@@ -95,6 +99,41 @@ class TestInstrumentValidity:
         cj = cj_from_kraus([np.eye(2)], 2, 2)
         instr = InstrumentCJ(2, 2, ((-cj, 2 * cj),))
         assert not is_valid_instrument(instr).valid
+
+
+class TestStackedOperators:
+    def test_operators_are_one_frozen_array(self):
+        _, instruments = builtin_ocb_process()
+        for instr in instruments:
+            assert isinstance(instr.operators, np.ndarray)
+            assert instr.operators.shape == (instr.n_settings, instr.n_outcomes, 4, 4)
+            assert instr.operators.dtype == np.complex128
+            assert not instr.operators.flags.writeable
+
+    @pytest.mark.parametrize("builtin", [builtin_bfw, builtin_ocb_process], ids=["bfw", "ocb"])
+    def test_nested_tuples_and_the_array_give_equal_reports(self, builtin):
+        for instr in builtin()[1]:
+            nested = tuple(tuple(np.array(op) for op in row) for row in instr.operators)
+            again = InstrumentCJ(instr.d_in, instr.d_out, nested)
+            assert np.array_equal(again.operators, instr.operators)
+            assert is_valid_instrument(again) == is_valid_instrument(instr)
+
+    def test_ragged_outcome_count_rejected(self):
+        cj = cj_from_kraus([np.eye(2)], 2, 2)
+        with pytest.raises(InvalidTable, match="same outcome count"):
+            InstrumentCJ(2, 2, ((cj, cj), (cj,)))
+
+    def test_unequal_operator_shapes_rejected(self):
+        with pytest.raises(InvalidTable, match="expected 4x4 matrices"):
+            InstrumentCJ(2, 2, ((np.eye(4), np.eye(2)),))
+        with pytest.raises(InvalidTable, match=r"expected a 4x4 matrix, got shape \(2, 2\)"):
+            InstrumentCJ(2, 2, ((np.eye(2), np.eye(2)),))
+
+    def test_caller_array_stays_writeable(self):
+        ops = np.zeros((1, 1, 1, 1), dtype=np.complex128)
+        ops[0, 0, 0, 0] = 1.0
+        InstrumentCJ(1, 1, ops)
+        assert ops.flags.writeable
 
 
 class TestProcessMatrixValidity:
@@ -245,6 +284,98 @@ class TestNormalizationFamily:
             assert np.allclose(member, member.conj().T) and np.allclose(marginal, np.eye(d_in))
 
 
+def reference_trace(w: np.ndarray, ops) -> complex:
+    """Tr[w (M_1 (x) ... (x) M_n)] for one tuple, as the trace rule was written
+    before its kernel: the oracle the kernel must equal bit for bit."""
+    return complex(np.sum(w * functools.reduce(np.kron, ops).T))
+
+
+def reference_correlation(pm, instruments) -> list[complex]:
+    """p(x|a) at x_flat * n_a + a_flat, one (a, x) pair at a time."""
+    sc = pm.scenario
+    table = [0j] * (sc.n_outcomes * sc.n_settings)
+    for a_flat, a in enumerate(sc.setting_tuples()):
+        for x_flat, x in enumerate(sc.outcome_tuples()):
+            ops = [instr.operators[a_k][x_k] for instr, a_k, x_k in zip(instruments, a, x)]
+            table[x_flat * sc.n_settings + a_flat] = reference_trace(pm.matrix, ops)
+    return table
+
+
+def assert_kernel_matches_reference(pm, stacks) -> list[complex]:
+    expected = [reference_trace(pm.matrix, ops) for ops in itertools.product(*stacks)]
+    assert _trace_rule(pm.matrix, stacks).tolist() == expected
+    return expected
+
+
+def assert_correlation_matches_reference(pm, instruments) -> None:
+    assert_kernel_matches_reference(pm, [list(np.concatenate(i.operators)) for i in instruments])
+    expected = reference_correlation(pm, instruments)
+    corr = pm_correlation(pm, instruments)
+    assert list(corr.table) == [value.real for value in expected]
+    assert corr.max_imag_residual == max(abs(value.imag) for value in expected)
+
+
+def perturbed_bfw() -> ProcessMatrix:
+    pm, _ = builtin_bfw()
+    rng = np.random.default_rng(7)
+    noise = rng.normal(size=pm.matrix.shape) + 1j * rng.normal(size=pm.matrix.shape)
+    return ProcessMatrix(pm.scenario, pm.matrix + 1e-3 * (noise + noise.conj().T))
+
+
+def oracle_case(name: str):
+    """(process, instruments): the built-ins (bfw's are the canonical instruments),
+    a perturbed bfw, and ocb's matrix on two canonical qubit parties."""
+    if name == "ocb":
+        return builtin_ocb_process()
+    if name == "ocb-canonical":
+        pm = ProcessMatrix(make_scenario(2, 2, 2, 2, 2), builtin_ocb_process()[0].matrix)
+        return pm, classical_instruments(canonical_interventions(pm.scenario))
+    pm, instruments = builtin_bfw()
+    return (perturbed_bfw() if name == "perturbed-bfw" else pm), instruments
+
+
+class TestTraceRuleOracle:
+    """The kernel equals the per-tuple sum bit for bit, for validity's
+    normalization families and for the instruments' operators alike."""
+
+    @pytest.mark.parametrize("case", ["ocb", "ocb-canonical", "bfw", "perturbed-bfw"])
+    def test_families_and_instruments(self, case):
+        pm, instruments = oracle_case(case)
+        sc = pm.scenario
+        families = [_normalization_family(i, o) for i, o in zip(sc.inputs, sc.outputs)]
+        expected = assert_kernel_matches_reference(pm, families)
+        deviation = max(abs(value - 1.0) for value in expected)
+        assert is_valid_process_matrix(pm).normalization_deviation == deviation
+        assert_correlation_matches_reference(pm, instruments)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_drawn_stacks(self, data):
+        n = data.draw(st.integers(1, 3), label="parties")
+
+        def cards(high: int, label: str) -> tuple[int, ...]:
+            return tuple(data.draw(st.lists(st.integers(1, high), min_size=n, max_size=n), label=label))
+
+        sc = Scenario(
+            settings=cards(3, "settings"),
+            outcomes=cards(3, "outcomes"),
+            inputs=cards(2, "d_in"),
+            outputs=cards(2, "d_out"),
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+        def complex_normal(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        dim = prod(sc.inputs) * prod(sc.outputs)
+        pm = ProcessMatrix(sc, complex_normal(dim, dim))
+        instruments = [
+            InstrumentCJ(d_in, d_out, complex_normal(a, x, d_in * d_out, d_in * d_out))
+            for a, x, d_in, d_out in zip(sc.settings, sc.outcomes, sc.inputs, sc.outputs)
+        ]
+        assert_correlation_matches_reference(pm, instruments)
+
+
 class TestPmCorrelation:
     def test_ocb_score(self):
         pm, instruments = builtin_ocb_process()
@@ -276,6 +407,50 @@ class TestPmCorrelation:
         pm, instruments = builtin_ocb_process()
         with pytest.raises(ScenarioMismatch):
             pm_correlation(pm, instruments[:1])
+
+
+def trivial_system_instruments(n: int):
+    """Two parties with n settings x n outcomes of 1x1 operators on trivial systems."""
+    pm = ProcessMatrix(make_scenario(2, n, n, 1, 1), np.ones((1, 1)))
+    instr = InstrumentCJ(1, 1, np.full((n, n, 1, 1), 1 / n))
+    return pm, [instr, instr]
+
+
+class TestTraceRuleWorkCap:
+    def test_tiny_operators_count_the_floor(self, monkeypatch):
+        # 81 tuples of 1x1 operators count 81 x 4096 entries: the trace rule runs at
+        # a cap of exactly that and is refused one below, before any tuple
+        pm, instruments = trivial_system_instruments(3)
+        monkeypatch.setattr(quantum_module, "VALIDITY_WORK_CAP", 81 * 4096)
+        assert len(pm_correlation(pm, instruments).table) == 81
+        monkeypatch.setattr(quantum_module, "VALIDITY_WORK_CAP", 81 * 4096 - 1)
+        monkeypatch.setattr(quantum_module, "_trace_rule", None)
+        with pytest.raises(SearchSpaceTooLarge) as refused:
+            pm_correlation(pm, instruments)
+        assert str(refused.value) == (
+            "the trace rule needs 331776 steps (81 instrument tuples x 4096 entries), "
+            "above the work cap 331775"
+        )
+
+    def test_hundred_settings_and_outcomes_are_refused_at_once(self):
+        # 10^8 tuples: about 70 minutes of Kronecker products without the cap
+        pm, instruments = trivial_system_instruments(100)
+        started = time.monotonic()
+        with pytest.raises(SearchSpaceTooLarge) as refused:
+            pm_correlation(pm, instruments)
+        assert time.monotonic() - started < 1.0
+        assert str(refused.value) == (
+            "the trace rule needs 409600000000 steps (100000000 instrument tuples x 4096 "
+            "entries), above the work cap 1000000000"
+        )
+
+    def test_twenty_settings_and_outcomes_pass(self, monkeypatch):
+        # 160,000 tuples x 4096 entries fit under the cap; the kernel is stubbed, as
+        # running it takes seconds
+        pm, instruments = trivial_system_instruments(20)
+        stub = lambda w, stacks: np.zeros(prod(map(len, stacks)), dtype=np.complex128)
+        monkeypatch.setattr(quantum_module, "_trace_rule", stub)
+        assert pm_correlation(pm, instruments).table == (0.0,) * 160_000
 
 
 class TestDiagonalBridge:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from causelab.errors import (
     ScenarioMismatch,
 )
 from causelab.games import bfw_process, builtin_gynin, builtin_ocb, pr_box_correlation, score
-from causelab.scenario import flatten, unflatten
+from causelab.scenario import flatten, strides, unflatten
 
 from conftest import (
     identity_loop,
@@ -88,6 +89,13 @@ class TestIndexing:
         for flat, tup in enumerate(itertools.product(*(range(c) for c in cards))):
             assert flatten(tup, cards) == flat
             assert unflatten(flat, cards) == tup
+
+    @pytest.mark.parametrize("cards", [(), (2,), (2, 2), (2, 3, 2), (1, 4), (3, 1, 2)])
+    def test_strides_are_flatten_place_values(self, cards):
+        places = strides(cards)
+        assert places == [math.prod(cards[k + 1 :]) for k in range(len(cards))]
+        for tup in itertools.product(*(range(c) for c in cards)):
+            assert flatten(tup, cards) == sum(v * p for v, p in zip(tup, places))
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):

@@ -102,6 +102,11 @@ class TestQuantumObjects:
                 for op_a, op_b in zip(row_a, row_b):
                     assert np.array_equal(op_a, op_b)
 
+    @pytest.mark.parametrize("builtin", [builtin_bfw, builtin_ocb_process], ids=["bfw", "ocb"])
+    def test_instruments_document_round_trips_unchanged(self, builtin):
+        document = ser.instruments_to_json(builtin()[1])
+        assert ser.instruments_to_json(ser.instruments_from_json(document)) == document
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "process.json"
         ser.dump_json(str(path), ser.quasiprocess_to_json(bfw_process()))
