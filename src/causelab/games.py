@@ -76,7 +76,7 @@ DC_BATCH_CELLS = 1 << 18
 DC_SCORE_CELLS = 1 << 14
 # Scoring steps (distinct rows x other parties' outcome-map grid x the
 # distinguished party's slices x joint settings) in one dc_bound; the scoring
-# kernel runs about 10^8 steps per second on one core.
+# kernel runs about 4 x 10^8 steps per second on one core (ternary GYNI).
 DC_SCORE_WORK_CAP = 2 * 10**9
 # Tableau coefficients (equality rows x (variables + artificials + rhs)) of the
 # canonical-PC LP; ternary GYNI's 729 x 811 (about 5.9e5) solves in about 10 s.
@@ -514,49 +514,51 @@ class _DcSearch:
 _dc_search = lru_cache(maxsize=16)(_DcSearch)
 
 
+def _outcome_offsets(
+    search: _DcSearch, rows: np.ndarray, parties: Sequence[int], a_flats: np.ndarray
+) -> list[np.ndarray]:
+    """Per listed party k, x_k times its place in flat(x) for each row under each of its
+    full outcome maps (``hmap``) at the joint settings ``a_flats``: (rows, H_k,
+    len(a_flats)), with H_k on the k-th listed grid axis so that parties sum by broadcasting.
+    """
+    sc = search.sc
+    offsets = []
+    for pos, k in enumerate(parties):
+        inputs = rows[:, a_flats] // search.in_strides[k] % sc.inputs[k]
+        cell = search.settings_of[a_flats, k] * sc.inputs[k] + inputs
+        x_k = np.moveaxis(search.hmap(k)[:, cell], 0, 1) * search.x_strides[k]
+        grid = (1,) * pos + (search.H[k],) + (1,) * (len(parties) - pos - 1)
+        offsets.append(x_k.reshape(len(rows), *grid, len(a_flats)))
+    return offsets
+
+
 def _slice_scores(
-    search: _DcSearch,
-    icomp: list[np.ndarray],
-    G: np.ndarray,
-    last: int,
-    others: list[int],
-    a_last: int,
+    search: _DcSearch, rows: np.ndarray, G: np.ndarray, last: int, others: list[int], a_last: int
 ):
     """Per slice s of the distinguished party at setting a_last, the scores (rows, *grid).
 
-    ``icomp[k]`` holds party k's input component of every row at each a_flat;
-    the grid runs over the other parties' full outcome maps.
+    The grid runs over the other parties' full outcome maps.  Their offsets are
+    summed once per joint setting with a[last] = a_last; each slice adds the
+    distinguished party's own offset, read from ``smap`` at that setting.
     """
-    sc = search.sc
-    nr = icomp[0].shape[0]
-    grid_shape = tuple(search.H[k] for k in others)
-    relevant = [a_flat for a_flat, a in enumerate(search.setting_tuples) if a[last] == a_last]
-    for s in range(search.S[last]):
-        acc = np.zeros((nr,) + grid_shape, dtype=np.int64)
-        for a_flat in relevant:
-            a = search.setting_tuples[a_flat]
-            xflat = (
-                search.smap(last)[s, icomp[last][:, a_flat]] * search.x_strides[last]
-            ).reshape((nr,) + (1,) * len(others))
-            for pos, k in enumerate(others):
-                cell = a[k] * sc.inputs[k] + icomp[k][:, a_flat]
-                xk = search.hmap(k)[:, cell].T * search.x_strides[k]
-                shape = (nr,) + (1,) * pos + (search.H[k],) + (1,) * (len(others) - pos - 1)
-                xflat = xflat + xk.reshape(shape)
-            acc += G[a_flat][xflat]
-        yield acc
-
-
-def _input_components(search: _DcSearch, rows: np.ndarray) -> list[np.ndarray]:
-    return [(rows // search.in_strides[k]) % search.sc.inputs[k] for k in range(search.n)]
+    relevant = np.flatnonzero(search.settings_of[:, last] == a_last)
+    offsets = _outcome_offsets(search, rows, others, relevant)
+    summed = [sum(x_k[..., j] for x_k in offsets) for j in range(len(relevant))]
+    inputs = rows[:, relevant] // search.in_strides[last] % search.sc.inputs[last]
+    pad = (len(rows),) + (1,) * len(others)
+    for slice_map in search.smap(last) * search.x_strides[last]:
+        yield sum(
+            G[a_flat][x_others + slice_map[i_last].reshape(pad)]
+            for a_flat, x_others, i_last in zip(relevant, summed, inputs.T)
+        )
 
 
 def _best_slices(
-    search: _DcSearch, icomp: list[np.ndarray], G: np.ndarray, last: int, others: list[int]
+    search: _DcSearch, rows: np.ndarray, G: np.ndarray, last: int, others: list[int]
 ) -> np.ndarray:
     """Scores (rows, *grid) with the distinguished party's best slice at every setting."""
     return sum(
-        functools.reduce(np.maximum, _slice_scores(search, icomp, G, last, others, a_last))
+        functools.reduce(np.maximum, _slice_scores(search, rows, G, last, others, a_last))
         for a_last in range(search.sc.settings[last])
     )
 
@@ -568,18 +570,15 @@ def _hopt_values(
 
     Outcome maps decompose per party into independent per-setting slices for
     one distinguished party, so the scan is exhaustive over the remaining
-    parties' full maps and exact.
+    parties' full maps and exact.  Rows are scored in chunks of about
+    ``DC_SCORE_CELLS`` cells (rows x the other parties' outcome maps).
     """
-    n_rows = rows.shape[0]
-    grid_size = prod(search.H[k] for k in others)
-    icomp = _input_components(search, rows)
-    chunk = max(1, DC_SCORE_CELLS // max(1, grid_size))
-    values = np.empty(n_rows, dtype=np.int64)
-    for start in range(0, n_rows, chunk):
-        part = [c[start : start + chunk] for c in icomp]
-        total = _best_slices(search, part, G, last, others)
-        values[start : start + chunk] = total.reshape(len(part[0]), -1).max(axis=1)
-    return values
+    chunk = max(1, DC_SCORE_CELLS // prod(search.H[k] for k in others))
+    values = []
+    for start in range(0, len(rows), chunk):
+        total = _best_slices(search, rows[start : start + chunk], G, last, others)
+        values.append(total.reshape(len(total), -1).max(axis=1))
+    return np.concatenate(values)
 
 
 def _hopt_detail(
@@ -592,16 +591,16 @@ def _hopt_detail(
     distinguished party's first maximizing slice per setting at that point,
     scored again one slice array at a time.
     """
-    icomp = _input_components(search, row.reshape(1, -1))
-    total = _best_slices(search, icomp, G, last, others).reshape(-1)
+    rows = row.reshape(1, -1)
+    total = _best_slices(search, rows, G, last, others)[0]
     flat = int(np.argmax(total))
-    grid_idx = np.unravel_index(flat, tuple(search.H[k] for k in others)) if others else ()
+    grid_idx = np.unravel_index(flat, total.shape)
     other_maps = {k: int(grid_idx[pos]) for pos, k in enumerate(others)}
     slices = [
-        int(np.argmax([acc.flat[flat] for acc in _slice_scores(search, icomp, G, last, others, a)]))
+        int(np.argmax([acc.flat[flat] for acc in _slice_scores(search, rows, G, last, others, a)]))
         for a in range(search.sc.settings[last])
     ]
-    return int(total[flat]), other_maps, slices
+    return int(total.flat[flat]), other_maps, slices
 
 
 @lru_cache(maxsize=16)
@@ -738,7 +737,7 @@ def _deterministic_correlation_vertices(
     These are the extreme points spanning the deterministic-consistency hull,
     as 0/1 int rows in ascending order.  A behaviour is gathered as its joint
     outcome at every joint setting, one per (distinct fixed-point row of the
-    DC search, outcome-map family), from the search's own outcome-map tables.
+    DC search, outcome-map family), summed from the scoring's ``_outcome_offsets``.
     Each cap raises :class:`SearchSpaceTooLarge`: one row's gather size
     against ``DC_WORK_CAP`` before the survey runs, the survey's own caps, the
     class grids against ``DC_GRID_CAP`` during the walk, the exact gather size
@@ -763,16 +762,10 @@ def _deterministic_correlation_vertices(
         )
     behaviours = np.empty((0, n_a), dtype=np.int64)
     step = max(1, DC_BATCH_CELLS // per_row)
+    every_a = np.arange(n_a)
     for start in range(0, len(rows), step):
-        icomp = _input_components(search, rows[start : start + step])
         # joint[r, h_1, ..., h_n, a]: joint outcome of row r under outcome maps h at a
-        joint = 0
-        for k in range(search.n):
-            cell = search.settings_of[:, k] * scenario.inputs[k] + icomp[k]
-            x_k = np.moveaxis(search.hmap(k)[:, cell], 0, 1) * search.x_strides[k]
-            shape = [1] * search.n
-            shape[k] = search.H[k]
-            joint = joint + x_k.reshape((x_k.shape[0], *shape, n_a))
+        joint = sum(_outcome_offsets(search, rows[start : start + step], range(search.n), every_a))
         behaviours = np.concatenate([behaviours, joint.reshape(-1, n_a)])
         behaviours = behaviours[_unique_rows(_digit_words(behaviours, scenario.n_outcomes))[1]]
         check_hull_lp_size(len(behaviours), scenario.n_outcomes * n_a)

@@ -244,7 +244,14 @@ def is_valid_process_matrix(pm: ProcessMatrix) -> ProcessMatrixReport:
     min_eig = float(np.min(np.linalg.eigvalsh((w + w.conj().T) / 2)))
 
     families = [_normalization_family(d_in, d_out) for d_in, d_out in zip(sc.inputs, sc.outputs)]
-    norm_dev = float(np.max(np.abs(_trace_rule(w, families) - 1.0)))
+    traces = _trace_rule(w, families).reshape(sizes)  # one axis per party
+    overflows = np.argwhere(~np.isfinite(traces))
+    if len(overflows):
+        t = tuple(map(int, overflows[0]))
+        raise InvalidTable(
+            f"the trace rule overflows at normalization tuple {t}: {complex(traces[t])}"
+        )
+    norm_dev = float(np.max(np.abs(traces - 1.0)))
     return ProcessMatrixReport(
         valid=herm_dev <= VALIDITY_ATOL and min_eig >= -VALIDITY_ATOL and norm_dev <= VALIDITY_ATOL,
         hermiticity_deviation=herm_dev,

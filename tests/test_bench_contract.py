@@ -68,7 +68,10 @@ def test_tracer_reads_the_dc_search():
     )
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(proc.stdout)
-    for name in ("games.function_rows_calls", "games.fixed_point_rows", "games.grid_points"):
+    for name in (
+        "games.function_rows_calls", "games.fixed_point_rows", "games.grid_points",
+        "games.hopt_rows", "games.vertices_count",
+    ):
         assert metrics[name] > 0, name
 
 

@@ -283,6 +283,23 @@ class TestBadInput:
         (line,) = proc.stderr.splitlines()
         assert json.loads(line)["error"] == "InvalidTable"
 
+    def test_overflowing_normalization_trace_exits_two(self, tmp_path):
+        # w + w^H is finite, but Tr[W] over the only normalization tuple is 4 x 8.9e307
+        path = tmp_path / "huge-trace.json"
+        two_party = {"settings": [1, 1], "outcomes": [2, 2], "inputs": [2, 2], "outputs": [1, 1]}
+        w = [[8.9e307 if row == col else 0.0, 0.0] for row in range(4) for col in range(4)]
+        path.write_text(json.dumps({"scenario": two_party, "w": w}))
+        proc = run_cli("pm-eval", "--process", str(path), "--instruments", "canonical")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "RuntimeWarning" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "InvalidTable"
+        assert error["message"] == (
+            "the trace rule overflows at normalization tuple (0, 0): (inf+0j)"
+        )
+
     def test_overflowing_trace_rule_exits_two(self, tmp_path, capsys):
         # each matrix passes its own w + w^H check; only their product overflows
         from causelab.quantum import classical_instruments, diagonal_from_classical

@@ -281,9 +281,37 @@ def first_occurrence_scan(cards):
     return seen
 
 
-@functools.lru_cache(maxsize=None)
-def cached_vertex_oracle(cards):
-    return deterministic_behaviours_oracle(make_scenario(*cards))
+cached_vertex_oracle = functools.cache(deterministic_behaviours_oracle)
+
+
+def assert_dc_value_is_the_best_vertex_score(data, sc):
+    """dc_bound on a drawn game equals its best score over the oracle's vertices,
+    and its witness replays to that score."""
+    n_cells = sc.n_outcomes * sc.n_settings
+    payoff = data.draw(st.lists(st.integers(-3, 3), min_size=n_cells, max_size=n_cells))
+    weights = data.draw(
+        st.lists(st.fractions(0, 1, max_denominator=6), min_size=sc.n_settings,
+                 max_size=sc.n_settings).filter(any)
+    )
+    game = Game(sc, tuple(payoff), tuple(w / sum(weights) for w in weights))
+    best = max(score(game, Correlation(sc, vertex)) for vertex in cached_vertex_oracle(sc))
+    result = dc_bound.__wrapped__(game)
+    assert result.value == best
+    replay = evaluate_correlation(
+        quasiprocess_from_function(result.witness_function),
+        result.witness_intervention.to_family(sc),
+    )
+    assert score(game, replay.to_correlation()) == best
+
+
+# Scenarios beyond VERTEX_SET_CASES for the DC value oracle: a grid of two other
+# parties with trivial systems (64 vertices), a one-outcome party (81), and three
+# mixed parties with a one-setting and a one-outcome party (16).
+MORE_ORACLE_SCENARIOS = [
+    make_scenario(3, 2, 2, 1, 1),
+    Scenario(settings=(2, 2), outcomes=(1, 3), inputs=(2, 2), outputs=(2, 2)),
+    Scenario(settings=(1, 2, 2), outcomes=(2, 1, 2), inputs=(2, 2, 1), outputs=(2, 1, 2)),
+]
 
 
 WIDE_OUTCOME_MAPS = """
@@ -373,22 +401,19 @@ class TestDcBound:
     @given(data=st.data())
     def test_value_is_the_best_vertex_score(self, data):
         cards = data.draw(st.sampled_from(VERTEX_SET_CASES))[0]
-        sc = make_scenario(*cards)
-        n_cells = sc.n_outcomes * sc.n_settings
-        payoff = data.draw(st.lists(st.integers(-3, 3), min_size=n_cells, max_size=n_cells))
-        weights = data.draw(
-            st.lists(st.fractions(0, 1, max_denominator=6), min_size=sc.n_settings,
-                     max_size=sc.n_settings).filter(any)
-        )
-        game = Game(sc, tuple(payoff), tuple(w / sum(weights) for w in weights))
-        best = max(score(game, Correlation(sc, vertex)) for vertex in cached_vertex_oracle(cards))
-        result = dc_bound.__wrapped__(game)
-        assert result.value == best
-        replay = evaluate_correlation(
-            quasiprocess_from_function(result.witness_function),
-            result.witness_intervention.to_family(sc),
-        )
-        assert score(game, replay.to_correlation()) == best
+        assert_dc_value_is_the_best_vertex_score(data, make_scenario(*cards))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_value_is_the_best_vertex_score_on_more_scenarios(self, data):
+        sc = data.draw(st.sampled_from(MORE_ORACLE_SCENARIOS))
+        assert_dc_value_is_the_best_vertex_score(data, sc)
+
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_value_is_the_best_vertex_score_with_ternary_outcomes(self, data):
+        # 9 slices per setting for the distinguished party, 1,377 vertices
+        assert_dc_value_is_the_best_vertex_score(data, make_scenario(2, 2, 3, 2, 2))
 
     @pytest.mark.parametrize("cells", [64, 4096])
     def test_batch_size_does_not_change_the_search(self, monkeypatch, cells):
@@ -715,7 +740,7 @@ class TestClassify:
         cards = data.draw(st.sampled_from(VERTEX_SET_CASES))[0]
         sc = make_scenario(*cards)
         n_x, n_a = sc.n_outcomes, sc.n_settings
-        oracle = cached_vertex_oracle(cards)
+        oracle = cached_vertex_oracle(sc)
         table = [Fraction(0)] * (n_x * n_a)
         for a_flat in range(n_a):
             column = data.draw(st.lists(st.integers(0, 4), min_size=n_x, max_size=n_x).filter(any))

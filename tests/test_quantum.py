@@ -216,6 +216,15 @@ class TestProcessMatrixValidity:
         with pytest.raises(SearchSpaceTooLarge):
             is_valid_process_matrix(pm)
 
+    def test_overflowing_normalization_trace_names_its_tuple(self):
+        # the matrix and w + w^H are finite, and so is the base tuple's trace a/2;
+        # tuple 1 (identity/2 + |0><0| (x) Z) reads 2.5a, beyond the double range
+        a = 8.9e307
+        pm = ProcessMatrix(make_scenario(1, 1, 1, 2, 2), np.diag([a, -a, a, 0]))
+        with pytest.raises(InvalidTable) as refused:
+            is_valid_process_matrix(pm)
+        assert str(refused.value) == "the trace rule overflows at normalization tuple (1,): (inf+0j)"
+
     def test_diagonal_validity_matches_table_consistency(self, gyni_scenario):
         from causelab import is_logically_consistent
         from causelab.scenario import QuasiProcess
