@@ -13,6 +13,8 @@ from __future__ import annotations
 import importlib.util
 import sys
 
+from .errors import SearchSpaceTooLarge
+
 
 def _load_on_first_use(name: str):
     loaded = sys.modules.get(name)
@@ -29,3 +31,9 @@ def _load_on_first_use(name: str):
 
 
 np = _load_on_first_use("numpy")
+
+
+def check_axes(what: str, axes: int) -> None:
+    """Refuse ``what``, before any array is shaped, when its arrays need over numpy's 64 axes."""
+    if axes > 64:
+        raise SearchSpaceTooLarge(f"{what} needs {axes} array axes, above numpy's limit of 64")

@@ -31,7 +31,7 @@ from functools import lru_cache
 from math import prod
 from typing import Iterator, Sequence
 
-from ._lazy import np
+from ._lazy import check_axes, np
 from ._record import Record
 from .errors import InvalidMixture, SearchSpaceTooLarge
 from .lp import _scaled
@@ -265,7 +265,7 @@ def _survey_process_functions(
     choice come from one gather through the output-choice table.  The
     candidate count, read from the scenario, is capped by ``cap``, then the
     work (candidates x output choices x joint inputs) by ``SURVEY_WORK_CAP``,
-    before any candidate table is built.
+    and its tables' axes (two per party) by numpy's limit, before any is built.
     """
     # party k's candidate components: d_I^(joint outputs, less its own if reduced)
     sizes = [
@@ -285,6 +285,7 @@ def _survey_process_functions(
             f"the survey needs about {work} steps ({total} candidates x {choices} output "
             f"choices x {scenario.n_inputs} joint inputs), above the work cap {SURVEY_WORK_CAP}"
         )
+    check_axes("the survey's output-choice table", 2 * scenario.n_parties)
     axes, _ = _candidate_axes(scenario, reduced)
     choice_io = _choice_input_to_output_tables(scenario)
     # Candidate t's component k is axis k's entry at digit t // place[k] % len(axis).

@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from functools import lru_cache
 from math import prod
 from typing import Sequence
 
-from ._lazy import np
+from ._lazy import check_axes, np
 from ._record import Record
 from .consistency import (
     CANDIDATE_CAP,
@@ -249,27 +248,25 @@ def causal_bound(game: Game) -> CausalBoundResult:
 
     The recursion picks a party to act next; its outcome may depend on its own
     setting and on all settings revealed so far, and the identity of the next
-    party may depend on those settings as well (dynamic order).  The memo
-    holds at most ``CAUSAL_STATE_CAP`` states.
+    party may depend on those settings as well (dynamic order).  It visits every
+    state with a party yet to act once, prod_k (1 + s_k x_k) - prod_k s_k x_k
+    of them for s settings and x outcomes; that count is checked against
+    ``CAUSAL_STATE_CAP`` before it starts, so it recurses at most 18 parties deep.
     """
     sc = game.scenario
     n = sc.n_parties
     n_a = sc.n_settings
+    states = prod(1 + s * x for s, x in zip(sc.settings, sc.outcomes)) - n_a * sc.n_outcomes
+    if states > CAUSAL_STATE_CAP:
+        raise SearchSpaceTooLarge(f"causal recursion exceeds {CAUSAL_STATE_CAP} states")
     phi = game.phi
     a_strides, x_strides = strides(sc.settings), strides(sc.outcomes)
-    # (parties to act, a_flat, x_flat) -> (value, acting party, outcome per setting);
-    # a party yet to act adds 0 to both flat indices, and the mask tells it apart.
-    memo: dict[tuple[int, int, int], tuple[Fraction, int, tuple[int, ...]]] = {}
 
-    def best(mask: int, a_flat: int, x_flat: int) -> Fraction:
+    @functools.cache
+    def best(mask: int, a_flat: int, x_flat: int) -> tuple[Fraction, int, tuple[int, ...]]:
+        # (value, acting party, outcome per setting); a party yet to act adds 0 to a_flat, x_flat
         if mask == 0:
-            return phi[x_flat * n_a + a_flat]
-        key = (mask, a_flat, x_flat)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached[0]
-        if len(memo) > CAUSAL_STATE_CAP:
-            raise SearchSpaceTooLarge(f"causal recursion exceeds {CAUSAL_STATE_CAP} states")
+            return phi[x_flat * n_a + a_flat], -1, ()
         winner: tuple[Fraction, int, tuple[int, ...]] | None = None
         for k in range(n):
             if not mask & (1 << k):
@@ -279,7 +276,7 @@ def causal_bound(game: Game) -> CausalBoundResult:
             for a_k in range(sc.settings[k]):
                 next_a = a_flat + a_k * a_strides[k]
                 values = [
-                    best(mask & ~(1 << k), next_a, x_flat + x_k * x_strides[k])
+                    best(mask & ~(1 << k), next_a, x_flat + x_k * x_strides[k])[0]
                     for x_k in range(sc.outcomes[k])
                 ]
                 x_k = values.index(max(values))  # the first best outcome
@@ -287,13 +284,12 @@ def causal_bound(game: Game) -> CausalBoundResult:
                 chosen.append(x_k)
             if winner is None or total > winner[0]:
                 winner = (total, k, tuple(chosen))
-        memo[key] = winner
-        return winner[0]
+        return winner
 
     def strategy(mask: int, a_flat: int, x_flat: int) -> dict | None:
         if mask == 0:
             return None
-        _, k, chosen = memo[(mask, a_flat, x_flat)]
+        _, k, chosen = best(mask, a_flat, x_flat)
         branches = []
         for a_k, x_k in enumerate(chosen):
             next_a = a_flat + a_k * a_strides[k]
@@ -304,8 +300,7 @@ def causal_bound(game: Game) -> CausalBoundResult:
         return {"party": k, "branches": branches}
 
     full_mask = (1 << n) - 1
-    value = best(full_mask, 0, 0)
-    return CausalBoundResult(value, strategy(full_mask, 0, 0))
+    return CausalBoundResult(best(full_mask, 0, 0)[0], strategy(full_mask, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +409,7 @@ class _DcSearch:
         classes; ``index[g, a_flat]`` is the flat position, in the
         (c_1, ..., c_n) class table, of the fixed point read at joint setting
         a_flat on grid point g.  Read through ``layout``, which builds it once
-        per signature, within ``DC_GRID_CAP``.
+        per signature, within ``DC_GRID_CAP`` and numpy's axis limit.
         """
         settings = self.sc.settings
         axes_cards = [counts[k] for k in range(self.n) for _ in range(settings[k])]
@@ -424,6 +419,7 @@ class _DcSearch:
                 f"a class grid has {n_grid * self.n_a} cells ({n_grid} intervention "
                 f"outputs x {self.n_a} settings), above the cap {DC_GRID_CAP}"
             )
+        check_axes("a class grid", len(axes_cards) + 1)
         axis_offset = [sum(settings[:k]) for k in range(self.n)]
         digits = np.indices(axes_cards, dtype=np.int64).reshape(len(axes_cards), n_grid)
         index = sum(
@@ -511,7 +507,7 @@ class _DcSearch:
         return np.concatenate(parts), np.concatenate(origins)
 
 
-_dc_search = lru_cache(maxsize=16)(_DcSearch)
+_dc_search = functools.lru_cache(maxsize=16)(_DcSearch)
 
 
 def _outcome_offsets(
@@ -603,7 +599,7 @@ def _hopt_detail(
     return int(total.flat[flat]), other_maps, slices
 
 
-@lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=16)
 def dc_bound(game: Game, candidate_cap: int = CANDIDATE_CAP) -> DcBoundResult:
     """Exact maximum of the score over mixtures of process functions.
 
@@ -675,7 +671,6 @@ class PcBoundResult(Record):
     process: QuasiProcess
 
 
-@lru_cache(maxsize=16)
 def pc_bound_canonical(game: Game) -> PcBoundResult:
     """LP maximum over logically consistent environments, canonical interventions.
 
@@ -728,7 +723,7 @@ class ClassLabel(Record):
     dc: SetVerdict
 
 
-@lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=16)
 def _deterministic_correlation_vertices(
     scenario: Scenario, candidate_cap: int
 ) -> tuple[tuple[int, ...], ...]:

@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import prod
 from typing import Sequence
 
-from ._lazy import np
+from ._lazy import check_axes, np
 from ._record import Record
 from .errors import InvalidTable, NonDiagonal, ScenarioMismatch, SearchSpaceTooLarge
 from .games import bfw_process
@@ -244,13 +244,11 @@ def is_valid_process_matrix(pm: ProcessMatrix) -> ProcessMatrixReport:
     min_eig = float(np.min(np.linalg.eigvalsh((w + w.conj().T) / 2)))
 
     families = [_normalization_family(d_in, d_out) for d_in, d_out in zip(sc.inputs, sc.outputs)]
-    traces = _trace_rule(w, families).reshape(sizes)  # one axis per party
-    overflows = np.argwhere(~np.isfinite(traces))
+    traces = _trace_rule(w, families)
+    overflows = np.flatnonzero(~np.isfinite(traces))
     if len(overflows):
-        t = tuple(map(int, overflows[0]))
-        raise InvalidTable(
-            f"the trace rule overflows at normalization tuple {t}: {complex(traces[t])}"
-        )
+        t, value = unflatten(int(overflows[0]), sizes), complex(traces[overflows[0]])
+        raise InvalidTable(f"the trace rule overflows at normalization tuple {t}: {value}")
     norm_dev = float(np.max(np.abs(traces - 1.0)))
     return ProcessMatrixReport(
         valid=herm_dev <= VALIDITY_ATOL and min_eig >= -VALIDITY_ATOL and norm_dev <= VALIDITY_ATOL,
@@ -290,6 +288,7 @@ def pm_correlation(
         if instr.n_settings != sc.settings[k] or instr.n_outcomes != sc.outcomes[k]:
             raise ScenarioMismatch(f"instrument {k} alphabet sizes do not match the scenario")
     _check_trace_rule_work("the trace rule", "instrument", sc.n_settings * sc.n_outcomes, pm.dim)
+    check_axes("the trace rule", 2 * sc.n_parties)
     stacks = [instr.operators.reshape(-1, *instr.operators.shape[2:]) for instr in instruments]
     # the kernel's order is (a_0, x_0, a_1, x_1, ...); the table's is (x, a)
     axes = [card for pair in zip(sc.settings, sc.outcomes) for card in pair]
@@ -316,6 +315,7 @@ def diagonal_from_classical(qp: QuasiProcess) -> ProcessMatrix:
     """Basis-diagonal environment whose trace-rule statistics reproduce the
     classical evaluator under diagonal instruments."""
     sc = qp.scenario
+    check_axes("the diagonal bridge", 2 * sc.n_parties)
     table = np.array(qp.table, dtype=np.float64).reshape(sc.inputs + sc.outputs)
     return ProcessMatrix(sc, np.diag(table.transpose(_party_major(sc.n_parties)).reshape(-1)))
 
@@ -332,6 +332,7 @@ def classical_from_diagonal(pm: ProcessMatrix) -> QuasiProcess:
     worst = float(np.max(np.abs(pm.matrix - np.diag(pm.matrix.diagonal()))))
     if worst > DIAGONAL_ATOL:
         raise NonDiagonal(f"largest off-diagonal magnitude {worst} exceeds {DIAGONAL_ATOL}")
+    check_axes("the diagonal bridge", 2 * sc.n_parties)
     axes = _party_major(sc.n_parties)
     diag = pm.matrix.diagonal().real.reshape([(sc.inputs + sc.outputs)[axis] for axis in axes])
     return QuasiProcess(sc, tuple(map(Fraction, diag.transpose(np.argsort(axes)).ravel().tolist())))

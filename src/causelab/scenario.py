@@ -274,15 +274,6 @@ class InterventionFamily(Record):
         )
         object.__setattr__(self, "tables", checked)
 
-    @classmethod
-    def unchecked(
-        cls, scenario: Scenario, tables: Sequence[Sequence[Fraction]]
-    ) -> "InterventionFamily":
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "scenario", scenario)
-        object.__setattr__(obj, "tables", tuple(tuple(t) for t in tables))
-        return obj
-
     def prob(self, k: int, x: int, o: int, a: int, i: int) -> Fraction:
         sc = self.scenario
         row = x * sc.outputs[k] + o

@@ -265,9 +265,13 @@ def numeric_correlation_to_json(corr: NumericCorrelation) -> dict:
 
 
 def load_json(path: str) -> dict:
-    """Parse a document; every causelab document is a JSON object."""
+    """Parse a document; every causelab document is a JSON object, nested no deeper
+    than the parser's recursion limit."""
     with open(path, "r", encoding="utf-8") as fh:
-        return _require_object(json.load(fh), path)
+        try:
+            return _require_object(json.load(fh), path)
+        except RecursionError:
+            raise InvalidTable(f"{path}: JSON document nested too deeply") from None
 
 
 def dump_json(path: str, payload: dict) -> None:

@@ -264,7 +264,7 @@ class TestCriterion9PropertySuites:
             game = random_guessing_game(rng)
             c = causal_bound(game).value
             d = dc_bound.__wrapped__(game).value
-            p = pc_bound_canonical.__wrapped__(game).value
+            p = pc_bound_canonical(game).value
             assert c <= d <= p <= 1
         report_line(9, True, time.monotonic() - t0, "causal <= dc <= pc on 10^2 random games")
 

@@ -245,15 +245,21 @@ class TestBadInput:
 
     @pytest.mark.parametrize(
         "field",
-        ["game-settings", "game-name-number", "game-name-list", "process-matrix", "instrument-party"],
+        ["game-settings", "game-negative-weight", "game-weight-sum", "game-name-number",
+         "game-name-list", "process-matrix", "auto-instruments", "instrument-party"],
     )
     def test_malformed_field_exits_two(self, tmp_path, field):
         from causelab.games import builtin_gyni
+        from causelab.quantum import diagonal_from_classical
 
         path = tmp_path / "bad.json"
         one_party = {"settings": [2], "outcomes": [2], "inputs": [2], "outputs": [2]}
         if field == "game-settings":
             document = dict(ser.game_to_json(builtin_gyni()), settings=5)
+            args = ("bound", "--game", str(path), "--set", "causal")
+        elif field in ("game-negative-weight", "game-weight-sum"):
+            weights = ["-1/4", "3/4", "1/4", "1/4"] if "negative" in field else ["1/4"] * 3 + ["1/2"]
+            document = dict(ser.game_to_json(builtin_gyni()), settings=weights)
             args = ("bound", "--game", str(path), "--set", "causal")
         elif field.startswith("game-name"):
             name = 5 if field == "game-name-number" else ["x"]
@@ -262,6 +268,10 @@ class TestBadInput:
         elif field == "process-matrix":
             document = {"scenario": one_party, "w": 5}
             args = ("pm-eval", "--process", str(path), "--instruments", "canonical")
+        elif field == "auto-instruments":  # only a built-in process has default instruments
+            qp = quasiprocess_from_function(QuasiProcessFunction(make_scenario(1, 2, 2, 2, 2), ((0, 0),)))
+            document = ser.process_matrix_to_json(diagonal_from_classical(qp))
+            args = ("pm-eval", "--process", str(path))
         else:
             document = {"parties": [1]}
             args = ("pm-eval", "--process", "ocb", "--instruments", str(path))
@@ -337,6 +347,30 @@ class TestBadInput:
         assert "Traceback" not in proc.stderr
         (line,) = proc.stderr.splitlines()
         assert json.loads(line)["error"] == "IsADirectoryError"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("check-consistency", "DEEP"),
+            ("classify", "DEEP"),
+            ("classify", "POINT", "--witness", "DEEP"),
+            ("bound", "--game", "DEEP", "--set", "causal"),
+            ("pm-eval", "--process", "DEEP"),
+        ],
+        ids=["check-consistency", "classify", "classify-witness", "bound-game", "pm-eval-process"],
+    )
+    def test_deeply_nested_document_exits_two(self, tmp_path, args):
+        # nested past the JSON parser's recursion limit
+        files = {"DEEP": tmp_path / "deep.json", "POINT": tmp_path / "point.json"}
+        files["DEEP"].write_text("[" * 100_000 + "]" * 100_000)
+        ser.dump_json(str(files["POINT"]), ser.correlation_to_json(gyni_perfect_correlation()))
+        proc = run_cli(*(str(files[arg]) if arg in files else arg for arg in args))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line) == {
+            "error": "InvalidTable", "message": f"{files['DEEP']}: JSON document nested too deeply"
+        }
 
 
 # Commands that reach no array: a causal bound, the canonical PC bounds (exact
@@ -484,17 +518,33 @@ def test_numeric_requests_leave_numpy_ma_unloaded(statement):
 @pytest.fixture(scope="module")
 def oversized_files(tmp_path_factory):
     """A six-party binary game, a game and a behaviour whose first party has 30
-    inputs, and the uniform behaviour of four binary parties."""
+    inputs, the uniform behaviour of four binary parties, one-letter games of 40
+    and 1,000 parties, the 40-party table, the 1,000-party process, a 33-party
+    process matrix, a game of two 40-setting parties with one outcome each, and
+    a game whose payoff overflows 64-bit scoring."""
+    from causelab.quantum import ProcessMatrix
+
     out = tmp_path_factory.mktemp("oversized")
     six = make_scenario(6, 2, 2, 2, 2)
     n_a = six.n_settings
     four = make_scenario(4, 2, 2, 2, 2)
     wide = Scenario(settings=(1, 1), outcomes=(2, 2), inputs=(30, 1), outputs=(2, 2))
+    forty, thousand = make_scenario(40, 1, 1, 1, 1), make_scenario(1000, 1, 1, 1, 1)
+    forty_settings = make_scenario(2, 40, 1, 1, 1)
     documents = {
         "six_party": ser.game_to_json(Game(six, (0,) * (six.n_outcomes * n_a), (Fraction(1, n_a),) * n_a)),
         "thirty_inputs": ser.game_to_json(Game(wide, (1, 0, 0, 0), (1,))),
         "thirty_correlation": ser.correlation_to_json(Correlation(wide, (Fraction(1, 4),) * 4)),
         "four_uniform": ser.correlation_to_json(Correlation(four, (Fraction(1, 16),) * 256)),
+        "forty_party": ser.game_to_json(Game(forty, (1,), (1,))),
+        "thousand_party": ser.game_to_json(Game(thousand, (1,), (1,))),
+        "forty_correlation": ser.correlation_to_json(Correlation(forty, (1,))),
+        "thousand_process": ser.quasiprocess_to_json(QuasiProcess(thousand, (1,))),
+        "thirty_three_pm": ser.process_matrix_to_json(
+            ProcessMatrix(make_scenario(33, 1, 1, 1, 1), [[1.0]])
+        ),
+        "forty_settings": ser.game_to_json(Game(forty_settings, (1,) * 1600, (Fraction(1, 1600),) * 1600)),
+        "huge_payoff": ser.game_to_json(Game(make_scenario(1, 1, 2, 1, 1), (2**62, 0), (1,))),
     }
     for name, document in documents.items():
         ser.dump_json(str(out / f"{name}.json"), document)
@@ -528,9 +578,28 @@ class TestEnumPf:
             (["bound", "--game", "{thirty_inputs}", "--set", "dc"],
              "the survey needs about 57982058496000 steps (900 candidates x 2147483648 output "
              "choices x 30 joint inputs), above the work cap 10000000000"),
+            # the state count, 2^n - 1 for one-letter parties, is read before the recursion
+            (["bound", "--game", "{forty_party}", "--set", "causal"],
+             "causal recursion exceeds 500000 states"),
+            (["bound", "--game", "{thousand_party}", "--set", "causal"],
+             "causal recursion exceeds 500000 states"),
+            # one candidate and one output choice, but two table axes per party
+            (["enum-pf", "--parties", "40", "--alphabet", "1"],
+             "the survey's output-choice table needs 80 array axes, above numpy's limit of 64"),
+            (["bound", "--game", "{forty_party}", "--set", "dc"],
+             "the survey's output-choice table needs 80 array axes, above numpy's limit of 64"),
+            # one class-grid axis per (party, setting), plus the grid's own
+            (["bound", "--game", "{forty_settings}", "--set", "dc"],
+             "a class grid needs 81 array axes, above numpy's limit of 64"),
+            (["pm-eval", "--process", "{thirty_three_pm}", "--instruments", "canonical"],
+             "the trace rule needs 66 array axes, above numpy's limit of 64"),
+            # a payoff numerator of 2^62 would overflow the search's int64 sums
+            (["bound", "--game", "{huge_payoff}", "--set", "dc"],
+             "scaled payoff would overflow 64-bit accumulation"),
         ],
         ids=["four-binary", "five-binary", "six-binary-reduced", "300-binary", "six-party-dc",
-             "thirty-inputs-dc"],
+             "thirty-inputs-dc", "forty-party-causal", "thousand-party-causal", "forty-party-enum",
+             "forty-party-dc", "forty-settings-dc", "thirty-three-party-pm-eval", "huge-payoff-dc"],
     )
     def test_default_caps_stop_four_binary_parties_at_once(self, oversized_files, args, message):
         started = time.monotonic()
@@ -581,6 +650,27 @@ class TestEnumPf:
                 "downgraded": "the survey needs about 17592186044416 steps (4294967296 "
                 "candidates x 256 output choices x 16 joint inputs), above the work cap "
                 "10000000000"
+            },
+        }
+
+    def test_many_one_letter_parties_get_every_verdict_numpy_allows(self, oversized_files):
+        # the vertex test and the PC LP are Python-integer code with no party axes;
+        # only the DC survey needs two numpy axes per party
+        for args in (
+            ["check-consistency", oversized_files["thousand_process"]],
+            ["bound", "--game", oversized_files["thousand_party"], "--set", "pc"],
+        ):
+            proc = run_cli(*args)
+            assert proc.returncode == 0, proc.stderr
+        proc = run_cli("classify", oversized_files["forty_correlation"])
+        assert proc.returncode == 0, proc.stderr
+        result = report(proc)["result"]
+        assert (result["qc"]["status"], result["pc"]["status"]) == ("in", "in")
+        assert result["dc"] == {
+            "status": "unknown",
+            "certificate": {
+                "downgraded": "the survey's output-choice table needs 80 array axes, above "
+                "numpy's limit of 64"
             },
         }
 
@@ -683,27 +773,37 @@ def _set_entries(operator: list, entries: dict) -> None:
 
 class TestPmEval:
     @pytest.mark.parametrize(
-        "edit, message",
+        "edit, error, message",
         [
             (lambda parties: parties[0]["operators"][1].pop(),
-             "instrument needs the same outcome count for every setting"),
+             "InvalidTable", "instrument needs the same outcome count for every setting"),
             (lambda parties: parties[0]["operators"][0][1].__delitem__(slice(4, None)),
-             "instrument party 0 operator needs 16 entries, got 4"),
+             "InvalidTable", "instrument party 0 operator needs 16 entries, got 4"),
             (lambda parties: _set_entries(parties[1]["operators"][1][0], {3: [float("inf"), 0.0]}),
-             "matrix contains non-finite entries"),
+             "InvalidTable", "matrix contains non-finite entries"),
             (lambda parties: _set_entries(parties[1]["operators"][0][1], {1: [1e308, 0.0], 4: [1e308, 0.0]}),
-             "matrix entries overflow w + w^H"),
+             "InvalidTable", "matrix entries overflow w + w^H"),
+            (lambda parties: parties[0].update(d_in=0),
+             "InvalidTable", "instrument party 0: d_in and d_out must be positive integers"),
+            (lambda parties: parties[1].update(d_out=4.0),
+             "InvalidTable", "instrument party 1: d_in and d_out must be positive integers"),
+            # a valid discard-and-report instrument on trivial systems, where ocb's are qubits
+            (lambda parties: parties[0].update(d_in=1, d_out=1, operators=[[[[0.5, 0.0]]] * 2] * 2),
+             "ScenarioMismatch", "instrument 0 dimensions do not match the scenario"),
+            (lambda parties: parties[1]["operators"].__delitem__(slice(2, None)),
+             "ScenarioMismatch", "instrument 1 alphabet sizes do not match the scenario"),
         ],
-        ids=["ragged-outcomes", "two-operator-shapes", "non-finite", "hermitian-overflow"],
+        ids=["ragged-outcomes", "two-operator-shapes", "non-finite", "hermitian-overflow",
+             "zero-d-in", "float-d-out", "dimensions-mismatch", "settings-mismatch"],
     )
-    def test_bad_instruments_file_exits_two(self, tmp_path, capsys, edit, message):
+    def test_bad_instruments_file_exits_two(self, tmp_path, capsys, edit, error, message):
         path = tmp_path / "instruments.json"
         path.write_text(json.dumps(ocb_instruments_with(edit)))
         assert main(["pm-eval", "--process", "ocb", "--instruments", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         (line,) = err.splitlines()
-        assert json.loads(line) == {"error": "InvalidTable", "message": message}
+        assert json.loads(line) == {"error": error, "message": message}
 
     def test_trace_rule_cap_exits_three_at_once(self, tmp_path, capsys):
         # two parties with 100 settings x 100 outcomes of 1x1 operators: a 300 KB

@@ -251,6 +251,24 @@ class TestCausalBound:
             game = random_guessing_game(rng)
             assert causal_bound(game).value == bipartite_causal_oracle(game)
 
+    @pytest.mark.parametrize("cap, admitted", [(61, True), (60, False)])
+    def test_state_cap_admits_exactly_the_state_count(self, monkeypatch, cap, admitted):
+        # gynin visits (1 + 2 x 2)^3 - (2 x 2)^3 = 61 states with a party yet to act
+        monkeypatch.setattr(games_module, "CAUSAL_STATE_CAP", cap)
+        if admitted:
+            assert causal_bound(builtin_gynin()).value == HALF
+        else:
+            with pytest.raises(SearchSpaceTooLarge, match="causal recursion exceeds 60 states"):
+                causal_bound(builtin_gynin())
+
+    def test_state_count_refuses_before_recursing(self):
+        # 2^1000 - 1 states; a search that recursed first would pass Python's recursion limit
+        sc = make_scenario(1000, 1, 1, 1, 1)
+        started = time.monotonic()
+        with pytest.raises(SearchSpaceTooLarge, match="causal recursion exceeds 500000 states"):
+            causal_bound(Game(sc, (1,), (1,)))
+        assert time.monotonic() - started < 1.0
+
 
 # (scenario cardinalities, number of deterministic DC behaviours)
 VERTEX_SET_CASES = [((1, 2, 2, 2, 2), 4), ((2, 2, 2, 1, 1), 16), ((2, 2, 2, 2, 2), 112)]
@@ -550,7 +568,7 @@ class TestPcBound:
         monkeypatch.setattr(games_module, "PC_LP_CAP", cap)
         monkeypatch.setattr(games_module, "lp_solve", solve)
         with pytest.raises(Solved if admitted else SearchSpaceTooLarge):
-            pc_bound_canonical.__wrapped__(game)
+            pc_bound_canonical(game)
 
 
 WEIGHTED_SCENARIOS = [make_scenario(2, 2, 2, 2, 2), Scenario((2, 3), (3, 2), (2, 2), (2, 2))]
@@ -627,7 +645,7 @@ class TestMonotonicity:
             game = random_guessing_game(rng)
             c = causal_bound(game).value
             d = dc_bound.__wrapped__(game).value
-            p = pc_bound_canonical.__wrapped__(game).value
+            p = pc_bound_canonical(game).value
             assert c <= d <= p <= 1
 
 

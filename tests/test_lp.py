@@ -288,7 +288,7 @@ class TestGoldenPivotPath:
         return count
 
     def test_pc_bounds(self, pivots):
-        gynin = pc_bound_canonical.__wrapped__(builtin_gynin())
+        gynin = pc_bound_canonical(builtin_gynin())
         assert pivots[0] == 68
         assert gynin.value == 1
         half = Fraction(1, 2)
@@ -297,7 +297,7 @@ class TestGoldenPivotPath:
         ]
         assert set(gynin.process.table) == {ZERO, half}
         pivots[0] = 0
-        ocb = pc_bound_canonical.__wrapped__(builtin_ocb())
+        ocb = pc_bound_canonical(builtin_ocb())
         assert pivots[0] == 36
         assert ocb.value == Fraction(3, 4)
         assert ocb.process.table == tuple(
