@@ -46,6 +46,7 @@ from .games import (
     builtin_gynin,
     builtin_ocb,
     causal_bound,
+    check_game_alphabets,
     classify,
     dc_bound,
     gyni_perfect_correlation,
@@ -126,9 +127,7 @@ def _cmd_enum_pf(args) -> int:
     scenario = make_scenario(
         args.parties, args.alphabet, args.alphabet, args.alphabet, args.alphabet
     )
-    functions = list(
-        enumerate_process_functions(scenario, reduced=args.reduced, cap=args.cap_candidates)
-    )
+    functions = list(enumerate_process_functions(scenario, cap=args.cap_candidates))
     result = {
         "scenario": serialize.scenario_to_json(scenario),
         "count": len(functions),
@@ -226,14 +225,16 @@ def _cmd_pm_eval(args) -> int:
     else:
         instruments = serialize.instruments_from_json(serialize.load_json(args.instruments))
 
-    pm_report = is_valid_process_matrix(pm)
-    instr_reports = [is_valid_instrument(instr) for instr in instruments]
-    corr = pm_correlation(pm, instruments)
-
+    # a bad --game is refused before the validity and trace-rule work
     game = None
     game_spec = args.game if args.game != "auto" else default_game
     if game_spec is not None:
         game = _load_game(game_spec)
+        check_game_alphabets(game, pm.scenario)
+
+    pm_report = is_valid_process_matrix(pm)
+    instr_reports = [is_valid_instrument(instr) for instr in instruments]
+    corr = pm_correlation(pm, instruments)
     game_score = None if game is None else float(score(game, corr))
 
     ok = pm_report.valid and all(r.valid for r in instr_reports)
@@ -404,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enum-pf", help="enumerate process functions", **sub_kwargs)
     p.add_argument("--parties", type=int, required=True)
     p.add_argument("--alphabet", type=int, required=True)
-    p.add_argument("--reduced", action="store_true")
+    p.add_argument("--reduced", action="store_true", help="echoed only: every survey is reduced")
     p.set_defaults(handler=_cmd_enum_pf)
 
     p = sub.add_parser("bound", help="causal / dc / pc bound of a game", **sub_kwargs)

@@ -13,12 +13,11 @@ process function exactly when every output choice admits one and only one
 fixed point i = w(f(i)); zero fixed points is the grandfather antinomy, two
 or more is its over-determined twin.
 
-A useful structural fact (used for the default "reduced" enumeration): a
-process function's component for party k can never depend on that party's own
-output.  If it did, some single-party output choice would compose with it to
-a map with zero or two fixed points, so candidates that read their own output
-never survive.  Enumerating components over the other parties' outputs is
-therefore complete; the unreduced mode remains available for cross-checks.
+A process function's component for party k never depends on that party's own
+output (Baumeler & Wolf, New J. Phys. 18, 013036 (2016)): if it did, some
+single-party output choice would compose with it to a map with zero or two
+fixed points.  So the survey enumerates each component over the other
+parties' outputs only, prod_k d_I_k^(n_O / d_O_k) candidates, and loses none.
 """
 
 from __future__ import annotations
@@ -234,19 +233,18 @@ def is_process_function(omega: QuasiProcessFunction) -> FunctionVerdict:
     return FunctionVerdict(False, verdict.violation, int(verdict.violation_mass))
 
 
-def _candidate_axes(scenario: Scenario, reduced: bool) -> tuple[list[np.ndarray], int]:
+def _candidate_axes(scenario: Scenario) -> tuple[list[np.ndarray], int]:
     """Per-party candidate component maps, one row each over flat(o), lex order.
 
-    Party k's rows are every map range(domain) -> range(d_I_k), read at one
-    projection of the joint outputs onto that domain.  In reduced mode party
-    k's own output axis collapses to size 1, so its components ignore it.
-    Returns the arrays and the candidate count, their product of row counts.
+    Party k's rows are every map range(domain) -> range(d_I_k), read at the
+    projection of the joint outputs that drops party k's own output, so its
+    components ignore it.  Returns the arrays and the candidate count, their
+    product of row counts.
     """
     axes = []
     for k, d_i in enumerate(scenario.inputs):
         shape = list(scenario.outputs)
-        if reduced:
-            shape[k] = 1
+        shape[k] = 1
         domain = prod(shape)
         projection = np.broadcast_to(np.arange(domain).reshape(shape), scenario.outputs)
         # take, unlike [:, projection], keeps each row contiguous for the survey's gathers
@@ -255,7 +253,7 @@ def _candidate_axes(scenario: Scenario, reduced: bool) -> tuple[list[np.ndarray]
 
 
 def _survey_process_functions(
-    scenario: Scenario, reduced: bool, cap: int
+    scenario: Scenario, cap: int
 ) -> tuple[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]], ...]:
     """All process functions plus, per function, its fixed point at every choice.
 
@@ -267,11 +265,8 @@ def _survey_process_functions(
     work (candidates x output choices x joint inputs) by ``SURVEY_WORK_CAP``,
     and its tables' axes (two per party) by numpy's limit, before any is built.
     """
-    # party k's candidate components: d_I^(joint outputs, less its own if reduced)
-    sizes = [
-        (d_i, scenario.n_outputs // (d_o if reduced else 1))
-        for d_i, d_o in zip(scenario.inputs, scenario.outputs)
-    ]
+    # party k's candidate components: d_I^(joint outputs, less its own)
+    sizes = [(d_i, scenario.n_outputs // d_o) for d_i, d_o in zip(scenario.inputs, scenario.outputs)]
     at_least = sum(e * (d_i.bit_length() - 1) for d_i, e in sizes)  # bits of a lower bound
     if at_least > cap.bit_length():
         raise SearchSpaceTooLarge(f"at least 2^{at_least} candidates exceed the cap {cap}")
@@ -286,7 +281,7 @@ def _survey_process_functions(
             f"choices x {scenario.n_inputs} joint inputs), above the work cap {SURVEY_WORK_CAP}"
         )
     check_axes("the survey's output-choice table", 2 * scenario.n_parties)
-    axes, _ = _candidate_axes(scenario, reduced)
+    axes, _ = _candidate_axes(scenario)
     choice_io = _choice_input_to_output_tables(scenario)
     # Candidate t's component k is axis k's entry at digit t // place[k] % len(axis).
     place = strides([len(axis) for axis in axes])
@@ -308,20 +303,20 @@ def _survey_process_functions(
 
 
 @lru_cache(maxsize=32)
-def _survey_cached(scenario: Scenario, reduced: bool, cap: int):
-    return _survey_process_functions(scenario, reduced, cap)
+def _survey_cached(scenario: Scenario, cap: int):
+    return _survey_process_functions(scenario, cap)
 
 
 def enumerate_process_functions(
-    scenario: Scenario, reduced: bool = True, cap: int = CANDIDATE_CAP
+    scenario: Scenario, cap: int = CANDIDATE_CAP
 ) -> Iterator[QuasiProcessFunction]:
-    """Yield exactly the candidates passing the unique-fixed-point test, lex order.
+    """Yield every process function of ``scenario``, lex order of its components.
 
-    Reduced mode enumerates components over the other parties' outputs only;
-    this loses nothing (see module docstring) and shrinks the candidate space
-    from prod_k d_I^(n_O) to prod_k d_I^(n_O / d_{O_k}).
+    Each component is enumerated over the other parties' outputs only, which
+    loses nothing (see module docstring): prod_k d_I_k^(n_O / d_O_k)
+    candidates, capped by ``cap``.
     """
-    for maps, _ in _survey_cached(scenario, reduced, cap):
+    for maps, _ in _survey_cached(scenario, cap):
         yield QuasiProcessFunction(scenario, maps)
 
 

@@ -118,6 +118,12 @@ class Game(Record):
         return tuple(pay * self.setting_dist[f % n_a] for f, pay in enumerate(self.payoff))
 
 
+def check_game_alphabets(game: Game, scenario: Scenario) -> None:
+    """Raise unless ``game`` and ``scenario`` have the same setting and outcome alphabets."""
+    if game.scenario.settings != scenario.settings or game.scenario.outcomes != scenario.outcomes:
+        raise ScenarioMismatch("game and correlation alphabets differ")
+
+
 def score(game: Game, corr) -> Fraction | float:
     """Linear score phi . p = sum payoff * p(a) * p(x|a); exact on rational tables.
 
@@ -125,10 +131,8 @@ def score(game: Game, corr) -> Fraction | float:
     sizes are irrelevant to scoring, which lets one game score both classical
     and process-matrix behaviours.  Float-valued tables give a float score.
     """
+    check_game_alphabets(game, corr.scenario)
     sc = game.scenario
-    other = corr.scenario
-    if sc.settings != other.settings or sc.outcomes != other.outcomes:
-        raise ScenarioMismatch("game and correlation alphabets differ")
     phi = game.phi
     total = ZERO
     for a_flat in range(sc.n_settings):
@@ -383,7 +387,7 @@ class _DcSearch:
 
     @functools.cached_property
     def survey(self):
-        return _survey_cached(self.sc, True, self.candidate_cap)
+        return _survey_cached(self.sc, self.candidate_cap)
 
     def first_choices(self, fps: np.ndarray) -> list[np.ndarray]:
         """Per party k, the (m, F_k) mask of choices that come first in their class.

@@ -11,6 +11,8 @@ flat row-major list of [re, im] pairs.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -26,12 +28,29 @@ def rational_to_str(value: Fraction) -> str:
     return str(Fraction(value))
 
 
+# the decimal exponent that ends a rational string such as "1.5e-3"
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
+def _check_exponent(value: str) -> None:
+    """Refuse an exponent above Python's limit on integer-string digits before
+    ``Fraction`` computes its power of ten in full."""
+    match = _EXPONENT.search(value)
+    if match is None:
+        return
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    digits = match.group(1).replace("_", "").lstrip("0")
+    if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+        raise InvalidTable(f"cannot parse rational {value!r}: its exponent exceeds {limit}")
+
+
 def rational_from_json(value) -> Fraction:
     if isinstance(value, bool):
         raise InvalidTable(f"expected a rational, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        _check_exponent(value)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -67,7 +86,8 @@ def scenario_from_json(data: dict) -> Scenario:
     if not all(isinstance(value, list) for value in cards.values()):
         raise InvalidTable("scenario: alphabet sizes must be JSON arrays")
     scenario = Scenario(**{name: tuple(value) for name, value in cards.items()})
-    if "parties" in data and data["parties"] != scenario.n_parties:
+    parties = data.get("parties", scenario.n_parties)
+    if type(parties) is not int or parties != scenario.n_parties:
         raise InvalidTable("party count disagrees with the alphabet lists")
     return scenario
 

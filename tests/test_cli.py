@@ -231,8 +231,14 @@ class TestBadInput:
             {"scenario": [2, 2], "p": []},
             {"scenario": {"settings": 2, "outcomes": [2], "inputs": [2], "outputs": [2]}, "p": []},
             {"scenario": {"settings": [2.5], "outcomes": [2], "inputs": [2], "outputs": [2]}, "p": []},
+            # a consistent table: only the party count, equal to 1 but not an int, is wrong
+            {"scenario": {"parties": True, "settings": [1], "outcomes": [1], "inputs": [2],
+                          "outputs": [2]}, "p": [[1, 1], [0, 0]]},
+            {"scenario": {"parties": 1.0, "settings": [1], "outcomes": [1], "inputs": [2],
+                          "outputs": [2]}, "p": [[1, 1], [0, 0]]},
         ],
-        ids=["bare-list", "scalar-table", "list-scenario", "scalar-alphabet", "fractional-alphabet"],
+        ids=["bare-list", "scalar-table", "list-scenario", "scalar-alphabet", "fractional-alphabet",
+             "boolean-party-count", "float-party-count"],
     )
     def test_malformed_document_exits_two(self, tmp_path, document):
         path = tmp_path / "bad.json"
@@ -330,6 +336,37 @@ class TestBadInput:
         error = json.loads(line)
         assert error["error"] == "InvalidTable"
         assert error["message"].startswith("the trace rule overflows")
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["process", "correlation", "game-payoff", "game-setting-weight"],
+    )
+    def test_rational_with_a_long_exponent_exits_two_at_once(self, tmp_path, entry):
+        # Fraction would compute 10^10000000 in full, for seconds, before failing
+        path = tmp_path / "long-exponent.json"
+        long = "1e-10000000"
+        one = {"settings": [1], "outcomes": [2], "inputs": [1], "outputs": [1]}
+        if entry == "process":
+            document = {"scenario": dict(one, outcomes=[1], inputs=[2]), "p": [[long], ["1"]]}
+            args = ("check-consistency", str(path))
+        elif entry == "correlation":
+            document = {"scenario": one, "p": [[long], ["1"]]}
+            args = ("classify", str(path))
+        else:
+            payoff, weight = ([[long], ["0"]], "1") if entry == "game-payoff" else ([["1"], ["0"]], long)
+            document = {"scenario": one, "payoff": payoff, "settings": [weight]}
+            args = ("bound", "--game", str(path), "--set", "causal")
+        path.write_text(json.dumps(document))
+        started = time.monotonic()
+        proc = run_cli(*args)
+        assert time.monotonic() - started < 1.0
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line) == {
+            "error": "InvalidTable",
+            "message": f"cannot parse rational {long!r}: its exponent exceeds 4300",
+        }
 
     @pytest.mark.parametrize(
         "args",
@@ -558,6 +595,22 @@ class TestEnumPf:
         data = report(proc)
         assert data["result"]["count"] == 12
 
+    @pytest.mark.parametrize("parties, alphabet", [(1, 2), (2, 2), (2, 3), (3, 2)])
+    def test_reduced_flag_changes_only_the_config_echo(self, parties, alphabet):
+        args = ("enum-pf", "--parties", str(parties), "--alphabet", str(alphabet))
+        started = time.monotonic()
+        plain = run_cli(*args)
+        elapsed = time.monotonic() - started
+        flagged = run_cli(*args, "--reduced")
+        assert plain.returncode == flagged.returncode == 0, plain.stderr
+        assert report(plain)["result"] == report(flagged)["result"]
+        assert report(plain)["config"]["reduced"] is False
+        assert report(flagged)["config"]["reduced"] is True
+        if (parties, alphabet) == (3, 2):
+            assert elapsed < 2.0
+        if (parties, alphabet) == (2, 3):
+            assert report(plain)["result"]["count"] == 153
+
     @pytest.mark.parametrize(
         "args, message",
         [
@@ -567,11 +620,11 @@ class TestEnumPf:
              "256 output choices x 16 joint inputs), above the work cap 10000000000"),
             # the candidate count is read from the scenario, before any candidate table exists
             (["enum-pf", "--parties", "5", "--alphabet", "2"],
-             "at least 2^160 candidates exceed the cap 4294967296"),
+             "at least 2^80 candidates exceed the cap 4294967296"),
             (["enum-pf", "--parties", "6", "--alphabet", "2", "--reduced"],
              "at least 2^192 candidates exceed the cap 4294967296"),
             (["enum-pf", "--parties", "300", "--alphabet", "2"],
-             f"at least 2^{300 * 2**300} candidates exceed the cap 4294967296"),
+             f"at least 2^{300 * 2**299} candidates exceed the cap 4294967296"),
             (["bound", "--game", "{six_party}", "--set", "dc"],
              "at least 2^192 candidates exceed the cap 4294967296"),
             # the DC search builds no output-choice table (2^30 maps of 30 inputs) before a cap
@@ -825,6 +878,30 @@ class TestPmEval:
             "message": "the trace rule needs 409600000000 steps (100000000 instrument tuples "
             "x 4096 entries), above the work cap 1000000000",
         }
+
+    @pytest.mark.parametrize(
+        "game, error, message",
+        [
+            ("nosuch", "InvalidTable", "unknown game 'nosuch': not a built-in name or a readable file"),
+            ("MISSING", "InvalidTable", "unknown game 'MISSING': not a built-in name or a readable file"),
+            ("gyni", "ScenarioMismatch", "game and correlation alphabets differ"),
+        ],
+        ids=["unknown-name", "missing-file", "other-alphabets"],
+    )
+    def test_bad_game_is_refused_before_validity(self, tmp_path, monkeypatch, capsys, game, error, message):
+        import causelab.cli
+
+        def no_validity(pm):
+            raise AssertionError("validity ran before the game was checked")
+
+        monkeypatch.setattr(causelab.cli, "is_valid_process_matrix", no_validity)
+        missing = str(tmp_path / "missing.json")
+        game, message = game.replace("MISSING", missing), message.replace("MISSING", missing)
+        assert main(["pm-eval", "--process", "bfw", "--game", game]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line) == {"error": error, "message": message}
 
     def test_ocb_score(self):
         proc = run_cli("pm-eval", "--process", "ocb", "--instruments", "ocb")

@@ -262,15 +262,15 @@ def brute_force_survey(scenario, reduced):
     return tuple(survivors)
 
 
-def projection_candidate_axes(scenario, reduced):
+def projection_candidate_axes(scenario):
     """Test-local reference for :func:`_candidate_axes`: per party, every value
     tuple over its domain (lex order, ``itertools.product``) read at the flat
     index of the joint output with the party's own component removed."""
     axes = []
     for k, d_i in enumerate(scenario.inputs):
-        other_cards = [d for j, d in enumerate(scenario.outputs) if j != k or not reduced]
+        other_cards = [d for j, d in enumerate(scenario.outputs) if j != k]
         projection = [
-            flatten([v for j, v in enumerate(o) if j != k or not reduced], other_cards)
+            flatten([v for j, v in enumerate(o) if j != k], other_cards)
             for o in scenario.output_tuples()
         ]
         axes.append([
@@ -292,16 +292,17 @@ CANDIDATE_SCENARIOS = [
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
-    @pytest.mark.parametrize("sc", CANDIDATE_SCENARIOS, ids=lambda sc: f"{sc.inputs}->{sc.outputs}")
-    def test_candidate_axes_equal_the_projection_build(self, sc, reduced):
-        axes, total = _candidate_axes(sc, reduced)
-        expected = projection_candidate_axes(sc, reduced)
+    @pytest.mark.parametrize(
+        "sc", CANDIDATE_SCENARIOS, ids=lambda sc: f"{sc.inputs}->{sc.outputs}-reduced"
+    )
+    def test_candidate_axes_equal_the_projection_build(self, sc):
+        axes, total = _candidate_axes(sc)
+        expected = projection_candidate_axes(sc)
         assert [[tuple(row) for row in axis.tolist()] for axis in axes] == expected
         assert total == prod(map(len, expected))
 
     def test_single_party_unreduced_yields_the_constants(self, single_scenario):
-        functions = list(enumerate_process_functions(single_scenario, reduced=False))
+        functions = list(enumerate_process_functions(single_scenario))
         assert [fn.maps for fn in functions] == [((0, 0),), ((1, 1),)]
         # oracle agreement over all four candidates
         for maps in itertools.product(itertools.product(range(2), repeat=2)):
@@ -309,7 +310,7 @@ class TestEnumeration:
             assert expected == any(fn.maps == maps for fn in functions)
 
     def test_two_party_reduced_count_and_set(self, gyni_scenario):
-        functions = list(enumerate_process_functions(gyni_scenario, reduced=True))
+        functions = list(enumerate_process_functions(gyni_scenario))
         assert len(functions) == 12
         oracle = {
             maps
@@ -321,10 +322,11 @@ class TestEnumeration:
         assert {fn.maps for fn in functions} == oracle
 
     def test_reduced_equals_unreduced_at_small_sizes(self, single_scenario, gyni_scenario):
+        # no process function reads its own party's output: the survey of the
+        # reduced candidates finds every survivor of the unreduced brute force
         for sc in (single_scenario, gyni_scenario):
-            reduced = {fn.maps for fn in enumerate_process_functions(sc, reduced=True)}
-            unreduced = {fn.maps for fn in enumerate_process_functions(sc, reduced=False)}
-            assert reduced == unreduced
+            survey = {fn.maps for fn in enumerate_process_functions(sc)}
+            assert survey == {maps for maps, _ in brute_force_survey(sc, reduced=False)}
 
     @pytest.mark.parametrize(
         "parties, alphabet, reduced, count",
@@ -334,7 +336,7 @@ class TestEnumeration:
         sc = make_scenario(parties, alphabet, alphabet, alphabet, alphabet)
         oracle = brute_force_survey(sc, reduced)
         assert len(oracle) == count
-        assert _survey_process_functions(sc, reduced, CANDIDATE_CAP) == oracle
+        assert _survey_process_functions(sc, CANDIDATE_CAP) == oracle
 
     def test_three_party_count_regression(self, gynin_scenario):
         assert len(list(enumerate_process_functions(gynin_scenario))) == 744
@@ -410,6 +412,28 @@ class TestMixtures:
         loop = QuasiProcessFunction(single_scenario, ((0, 1),))
         with pytest.raises(InvalidMixture):
             ProcessFunctionMixture(((loop, Fraction(1)),))
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda sc: QuasiProcessFunction(sc, ()), ValueError, "expected 1 component maps, got 0"),
+            (lambda sc: QuasiProcessFunction(sc, ((0,),)), ValueError,
+             "component 0 defined on 1 joint outputs, expected 2"),
+            (lambda sc: QuasiProcessFunction(sc, ((0, 2),)), ValueError,
+             "component 0 takes a value outside its input alphabet"),
+            (lambda sc: ProcessFunctionMixture(()), InvalidMixture,
+             "a mixture needs at least one component"),
+            (lambda sc: ProcessFunctionMixture((
+                (QuasiProcessFunction(sc, ((0, 0),)), Fraction(1, 2)),
+                (QuasiProcessFunction(make_scenario(1, 2, 2, 2, 3), ((0, 0, 0),)), Fraction(1, 2)),
+            )), InvalidMixture, "mixture components live on different scenarios"),
+        ],
+        ids=["component-count", "domain-length", "outside-alphabet", "empty-mixture",
+             "mixed-scenarios"],
+    )
+    def test_malformed_functions_and_mixtures_rejected(self, single_scenario, build, error, message):
+        with pytest.raises(error, match=message):
+            build(single_scenario)
 
     def test_bfw_table_is_not_any_singleton_function(self):
         # the perfect-winning table is strictly mixed: no deterministic table matches

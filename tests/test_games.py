@@ -286,7 +286,7 @@ def first_occurrence_scan(cards):
     grid = grid.reshape(grid.shape[0], -1)
     offset = [sum(sc.settings[:k]) for k in range(n)]
     seen = {}
-    for index, (_, fp) in enumerate(_survey_cached(sc, True, CANDIDATE_CAP)):
+    for index, (_, fp) in enumerate(_survey_cached(sc, CANDIDATE_CAP)):
         table = np.asarray(fp).reshape(F)
         rows = np.stack(
             [table[tuple(grid[offset[k] + a[k]] for k in range(n))] for a in sc.setting_tuples()],

@@ -71,6 +71,11 @@ def highs_reference(lp):
 
 
 class TestLpSolve:
+    @pytest.mark.parametrize("kind", ["eq", "le"])
+    def test_row_of_the_wrong_length_rejected(self, kind):
+        with pytest.raises(InvalidTable, match="constraint row has 1 coefficients, expected 2"):
+            LinearProgram((1, 1), **{kind: (((1,), 1),)})
+
     def test_simplex_max_on_simplex(self):
         lp = LinearProgram(
             objective=(ONE, ONE),

@@ -105,6 +105,21 @@ class TestIndexing:
         for tup in itertools.product(*(range(c) for c in cards)):
             assert flatten(tup, cards) == sum(v * p for v, p in zip(tup, places))
 
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: make_scenario(2, (2, 2, 2), 2, 2, 2), InvalidScenario,
+             "settings needs one cardinality per party"),
+            (lambda: flatten((0, 1), (2,)), IndexError, "index length 2 != 1 cards"),
+            (lambda: InterventionFamily(make_scenario(2, 2, 2, 2, 2), ()), InvalidTable,
+             "expected 2 party tables, got 0"),
+        ],
+        ids=["per-party-list", "flatten-index", "intervention-tables"],
+    )
+    def test_length_mismatches_rejected(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
+
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             flatten((2,), (2,))

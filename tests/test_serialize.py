@@ -25,6 +25,19 @@ class TestRationals:
         with pytest.raises(InvalidTable):
             ser.rational_from_json(bad)
 
+    @pytest.mark.parametrize(
+        "text, value",
+        [("1e400", 10**400), ("-2.5E-3", Fraction(-1, 400)), ("1_0e0_4300", 10**4301)],
+        ids=["1e400", "negative-decimal", "underscores-at-the-limit"],
+    )
+    def test_exponents_up_to_the_digit_limit_read_exactly(self, text, value):
+        assert ser.rational_from_json(text) == value
+
+    @pytest.mark.parametrize("text", ["1e4301", "1e-10000000", "1E+0_00_4301"])
+    def test_exponents_past_the_digit_limit_rejected_at_once(self, text):
+        with pytest.raises(InvalidTable, match="its exponent exceeds 4300"):
+            ser.rational_from_json(text)
+
 
 class TestScenario:
     def test_round_trip(self):
@@ -36,6 +49,13 @@ class TestScenario:
         data["parties"] = 3
         with pytest.raises(InvalidTable):
             ser.scenario_from_json(data)
+
+    @pytest.mark.parametrize("count", [0, 2], ids=["no-party-tables", "extra-party-table"])
+    def test_wrong_number_of_party_tables_rejected(self, count):
+        data = ser.interventions_to_json(canonical_interventions(make_scenario(1, 2, 2, 2, 2)))
+        data["parties"] = data["parties"][:1] * count
+        with pytest.raises(InvalidTable, match="wrong number of party tables"):
+            ser.interventions_from_json(data)
 
 
 class TestTables:
