@@ -18,6 +18,9 @@ output (Baumeler & Wolf, New J. Phys. 18, 013036 (2016)): if it did, some
 single-party output choice would compose with it to a map with zero or two
 fixed points.  So the survey enumerates each component over the other
 parties' outputs only, prod_k d_I_k^(n_O / d_O_k) candidates, and loses none.
+
+One kernel, :func:`_choice_masses`, sums a table over (i, f(i)) at every output
+choice f, for the vertex test, the survey and the canonical PC LP's rows.
 """
 
 from __future__ import annotations
@@ -38,13 +41,14 @@ from .scenario import QuasiProcess, Scenario, conditional_table, flatten, iter_t
 from .scenario import strides, unflatten
 
 CANDIDATE_CAP = 2**32
-# Survey steps (candidates x output choices x joint inputs) allowed in one
-# survey; the numpy survey runs about 10^8 steps per second on one core.
+# Survey steps (candidates x output choices x joint inputs) allowed in one survey:
+# 3.5-9.6 x 10^8 per second on one core, 4 x 10^7 for 50,000 inputs and one output.
 SURVEY_WORK_CAP = 10**10
-# Gathered (candidate, choice, input) cells held at once by the survey.
-SURVEY_BATCH_ELEMENTS = 1 << 16
-# Output choices x joint inputs: the cells of the survey's output-choice table
-# (8 bytes each), and a bound on the vertex test's Python-integer additions.
+# Candidates per survey batch, enough to outweigh numpy's per-call overhead;
+# fewer where (cells + output choices) x candidates would pass the cap below.
+SURVEY_BATCH_CANDIDATES = 512
+# Output choices x joint inputs: a bound on the additions of the output-choice
+# contraction (the vertex test's, the survey's per batch and the PC rows').
 CHOICE_TABLE_CELL_CAP = 1 << 22
 
 
@@ -102,7 +106,7 @@ def _lex_maps(domain: int, alphabet: int) -> np.ndarray:
 
 
 def _check_choice_cells(scenario: Scenario) -> None:
-    """Raise before the output-choice table or the vertex test's work outgrows its cap."""
+    """Raise before the output-choice contraction's work outgrows its cap."""
     count = output_choice_count(scenario)
     cells = count * scenario.n_inputs
     if cells > CHOICE_TABLE_CELL_CAP:
@@ -112,33 +116,14 @@ def _check_choice_cells(scenario: Scenario) -> None:
         )
 
 
-def _choice_input_to_output_tables(scenario: Scenario) -> np.ndarray:
-    """Joint output flat(f(i)) at row c, column i_flat; choices c in lex order.
-
-    The survey's table of where output choice f sends joint input i.  Its
-    cells are capped by ``CHOICE_TABLE_CELL_CAP`` before anything is allocated.
-    """
-    _check_choice_cells(scenario)
-    n = scenario.n_parties
-    table = np.zeros((1,) * (2 * n), dtype=np.int64)
-    stride = 1
-    for k in reversed(range(n)):
-        d_o, d_i = scenario.outputs[k], scenario.inputs[k]
-        maps = _lex_maps(d_i, d_o)
-        shape = [1] * (2 * n)
-        shape[k], shape[n + k] = maps.shape
-        table = table + maps.reshape(shape) * stride
-        stride *= d_o
-    return table.reshape(output_choice_count(scenario), scenario.n_inputs)
-
-
-def _add_vectors(x: list[int], y: list[int]) -> list[int]:
+def _add_vectors(x: list, y: list) -> list:
     return list(map(operator.add, x, y))
 
 
-def _choice_masses(scenario: Scenario, nums: Sequence[int]) -> list[int]:
+def _choice_masses(scenario: Scenario, nums: Sequence) -> list:
     """sum_i nums[flat(i), flat(f(i))] at every output choice f, lex order.
 
+    Entries may be anything that adds: ints, numpy arrays over candidates, one-bit masks.
     The table is laid out party by party, (i_0, o_0, ..., i_{N-1}, o_{N-1}),
     and contracted from the last party back.  At party k each block of fixed
     earlier (i, o) holds one entry per (i_k, o_k): a scalar for the last
@@ -239,8 +224,9 @@ def _candidate_axes(scenario: Scenario) -> tuple[list[np.ndarray], int]:
     Party k's rows are every map range(domain) -> range(d_I_k), read at the
     projection of the joint outputs that drops party k's own output, so its
     components ignore it.  Returns the arrays and the candidate count, their
-    product of row counts.
+    product of row counts.  The projection's axes, one per party, are checked first.
     """
+    check_axes("the survey's candidate projection", scenario.n_parties)
     axes = []
     for k, d_i in enumerate(scenario.inputs):
         shape = list(scenario.outputs)
@@ -259,11 +245,13 @@ def _survey_process_functions(
 
     Returns ``((maps, fp_table), ...)`` where ``fp_table[c]`` is the flattened
     unique fixed point at the c-th output choice (enumeration order).
-    Candidates are scanned in lex order, in batches whose fixed points at every
-    choice come from one gather through the output-choice table.  The
-    candidate count, read from the scenario, is capped by ``cap``, then the
-    work (candidates x output choices x joint inputs) by ``SURVEY_WORK_CAP``,
-    and its tables' axes (two per party) by numpy's limit, before any is built.
+    Candidates are scanned in lex order, in batches: cells [w_t(o) = i],
+    numpy arrays over the batch, weighted 1 + m*flat(i) for m = n_inputs + 1,
+    are summed by :func:`_choice_masses`, so a choice's mass % m counts its
+    fixed points and, when that is 1, mass // m is the fixed point.  The
+    candidate count, read from the scenario, is capped by ``cap``, the work
+    (candidates x output choices x joint inputs) by ``SURVEY_WORK_CAP``, the
+    projection's axes by numpy's limit, then ``CHOICE_TABLE_CELL_CAP``.
     """
     # party k's candidate components: d_I^(joint outputs, less its own)
     sizes = [(d_i, scenario.n_outputs // d_o) for d_i, d_o in zip(scenario.inputs, scenario.outputs)]
@@ -280,23 +268,26 @@ def _survey_process_functions(
             f"the survey needs about {work} steps ({total} candidates x {choices} output "
             f"choices x {scenario.n_inputs} joint inputs), above the work cap {SURVEY_WORK_CAP}"
         )
-    check_axes("the survey's output-choice table", 2 * scenario.n_parties)
     axes, _ = _candidate_axes(scenario)
-    choice_io = _choice_input_to_output_tables(scenario)
+    _check_choice_cells(scenario)
     # Candidate t's component k is axis k's entry at digit t // place[k] % len(axis).
     place = strides([len(axis) for axis in axes])
     components = [axis * stride for axis, stride in zip(axes, strides(scenario.inputs))]
-    batch = max(1, SURVEY_BATCH_ELEMENTS // choice_io.size)
-    identity = np.arange(scenario.n_inputs)
+    held = scenario.n_inputs * scenario.n_outputs + choices  # entries per candidate
+    batch = max(1, min(SURVEY_BATCH_CANDIDATES, CHOICE_TABLE_CELL_CAP // held))
+    inputs = np.arange(scenario.n_inputs, dtype=np.int64)
+    m = len(inputs) + 1
 
     kept, fixed = [], []  # per batch: surviving candidate indices, their fixed points
     for start in range(0, total, batch):
         t = np.arange(start, min(start + batch, total), dtype=np.int64)
         omega = sum(comp[t // place[k] % len(comp)] for k, comp in enumerate(components))
-        hits = omega[:, choice_io] == identity
-        unique = (hits.sum(axis=2) == 1).all(axis=1)
+        # cell (i, o), at flat index i * n_o + o, over the batch's candidates
+        cells = (omega.T == inputs[:, None, None]) * (1 + m * inputs)[:, None, None]
+        masses = np.array(_choice_masses(scenario, list(cells.reshape(-1, len(t)))))
+        unique = (masses % m == 1).all(axis=0)
         kept.append(t[unique])
-        fixed.append(hits[unique].argmax(axis=2))
+        fixed.append(masses[:, unique].T // m)
     index = np.concatenate(kept)
     maps = [map(tuple, ax[index // p % len(ax)].tolist()) for ax, p in zip(axes, place)]
     return tuple(zip(zip(*maps), map(tuple, np.concatenate(fixed).tolist())))

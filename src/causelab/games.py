@@ -37,9 +37,9 @@ from ._record import Record
 from .consistency import (
     CANDIDATE_CAP,
     QuasiProcessFunction,
+    _choice_masses,
     _lex_maps,
     _survey_cached,
-    enumerate_output_choices,
     is_logically_consistent,
     output_choice_count,
 )
@@ -54,15 +54,12 @@ from .scenario import (
     canonical_scenario,
     conditional_table,
     evaluate_correlation,
-    flatten,
-    iter_tuples,
     make_scenario,
     strides,
     universal_realization,
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 CAUSAL_STATE_CAP = 500_000
 DC_WORK_CAP = 20_000_000
@@ -365,8 +362,7 @@ class _DcSearch:
         self.sc = scenario
         self.candidate_cap = candidate_cap
         self.n = scenario.n_parties
-        self.setting_tuples = list(scenario.setting_tuples())
-        self.settings_of = np.array(self.setting_tuples, dtype=np.int64).reshape(-1, self.n)
+        self.settings_of = np.array(list(scenario.setting_tuples()), dtype=np.int64).reshape(-1, self.n)
         self.n_a = scenario.n_settings
         # Output choices per party; outcome maps over (setting, input) cells
         # a * d_I + i (hmap) and over inputs alone (smap, one setting's slice);
@@ -470,8 +466,9 @@ class _DcSearch:
         survey function ``survey[r]``, where party k's output choice at
         setting a_k is ``self.choices(k)[choices[r, sum(settings[:k]) + a_k]]``.
         The survey is walked once, in chunks of about ``DC_BATCH_CELLS`` grid
-        cells.
+        cells, after its arrays' axes (one per party plus two) are checked.
         """
+        check_axes("the DC search", self.n + 2)
         step = max(1, DC_BATCH_CELLS // max(prod(self.F), max(self.F) ** 2))
         rows = np.zeros((0, self.n_a), dtype=np.int64)
         # origin[r] = (survey index, output-choice index per (party, setting))
@@ -593,14 +590,13 @@ def _hopt_detail(
     """
     rows = row.reshape(1, -1)
     total = _best_slices(search, rows, G, last, others)[0]
-    flat = int(np.argmax(total))
-    grid_idx = np.unravel_index(flat, total.shape)
+    grid_idx = np.unravel_index(int(np.argmax(total)), total.shape)
     other_maps = {k: int(grid_idx[pos]) for pos, k in enumerate(others)}
     slices = [
-        int(np.argmax([acc.flat[flat] for acc in _slice_scores(search, rows, G, last, others, a)]))
+        int(np.argmax([acc[0][grid_idx] for acc in _slice_scores(search, rows, G, last, others, a)]))
         for a in range(search.sc.settings[last])
     ]
-    return int(total.flat[flat]), other_maps, slices
+    return int(total[grid_idx]), other_maps, slices
 
 
 @functools.lru_cache(maxsize=16)
@@ -688,8 +684,7 @@ def pc_bound_canonical(game: Game) -> PcBoundResult:
     before any row is built.
     """
     sc = canonical_scenario(game.scenario)
-    n_i, n_o = sc.n_inputs, sc.n_outputs
-    n_vars = n_i * n_o
+    n_vars = sc.n_inputs * sc.n_outputs
     n_eq = output_choice_count(sc)
     size = n_eq * (n_vars + n_eq + 1)
     if size > PC_LP_CAP:
@@ -697,15 +692,11 @@ def pc_bound_canonical(game: Game) -> PcBoundResult:
             f"the canonical PC LP has {size} tableau coefficients ({n_eq} equality rows x "
             f"({n_vars} variables + {n_eq} artificials + 1)), above the LP size cap {PC_LP_CAP}"
         )
-    inputs = list(iter_tuples(sc.inputs))
-    eq_rows = []
-    for choice in enumerate_output_choices(sc):
-        coeffs = [ZERO] * n_vars
-        for i_flat, i in enumerate(inputs):
-            coeffs[i_flat * n_o + flatten(choice.apply(i), sc.outputs)] = ONE
-        eq_rows.append((tuple(coeffs), ONE))
+    # one-bit weights sum to the bitmask of a choice's cells (i, f(i)); the LP makes 0/1 Fractions
+    masks = _choice_masses(sc, [1 << j for j in range(n_vars)])
+    eq_rows = tuple((tuple(m >> j & 1 for j in range(n_vars)), 1) for m in masks)
     # the canonical scenario's (i, o) layout is the game's (x, a) layout
-    solution = lp_solve(LinearProgram(objective=game.phi, maximize=True, eq=tuple(eq_rows)))
+    solution = lp_solve(LinearProgram(objective=game.phi, maximize=True, eq=eq_rows))
     if solution.status is not LpStatus.OPTIMAL:  # pragma: no cover - polytope is nonempty, bounded
         raise AssertionError(f"canonical process polytope LP returned {solution.status}")
     return PcBoundResult(solution.value, QuasiProcess(sc, solution.x))

@@ -32,6 +32,11 @@ def rational_to_str(value: Fraction) -> str:
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
+def _shown(value: str) -> str:
+    """``value`` quoted for an error message, cut after its first 40 characters."""
+    return repr(value) if len(value) <= 40 else f"{value[:40]!r}... ({len(value)} characters)"
+
+
 def _check_exponent(value: str) -> None:
     """Refuse an exponent above Python's limit on integer-string digits before
     ``Fraction`` computes its power of ten in full."""
@@ -41,7 +46,7 @@ def _check_exponent(value: str) -> None:
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     digits = match.group(1).replace("_", "").lstrip("0")
     if len(digits) > len(str(limit)) or int(digits or 0) > limit:
-        raise InvalidTable(f"cannot parse rational {value!r}: its exponent exceeds {limit}")
+        raise InvalidTable(f"cannot parse rational {_shown(value)}: its exponent exceeds {limit}")
 
 
 def rational_from_json(value) -> Fraction:
@@ -54,8 +59,20 @@ def rational_from_json(value) -> Fraction:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidTable(f"cannot parse rational {value!r}: {exc}") from None
+            raise InvalidTable(f"cannot parse rational {_shown(value)}: {exc}") from None
     raise InvalidTable(f"expected a rational string, got {type(value).__name__}")
+
+
+def _printable_rational(value) -> Fraction:
+    """A document's rational, refused when a part has more digits than a report can print."""
+    parsed = rational_from_json(value)
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    for name, part in (("numerator", abs(parsed.numerator)), ("denominator", parsed.denominator)):
+        # a part under 2^(3 * limit) < 10^limit has at most limit digits
+        if part.bit_length() > 3 * limit and part >= 10**limit:
+            shown = _shown(str(value))
+            raise InvalidTable(f"cannot parse rational {shown}: its {name} has more than {limit} digits")
+    return parsed
 
 
 def scenario_to_json(scenario: Scenario) -> dict:
@@ -103,7 +120,7 @@ def _table_from_rows(rows, n_rows: int, n_cols: int, what: str) -> tuple[Fractio
         raise InvalidTable(f"{what}: expected a list of lists")
     if len(rows) != n_rows or any(len(row) != n_cols for row in rows):
         raise InvalidTable(f"{what}: expected a {n_rows}x{n_cols} array")
-    return tuple(rational_from_json(v) for row in rows for v in row)
+    return tuple(_printable_rational(v) for row in rows for v in row)
 
 
 def quasiprocess_to_json(qp: QuasiProcess) -> dict:
@@ -195,7 +212,7 @@ def game_to_json(game: Game) -> dict:
 def game_from_json(data: dict) -> Game:
     sc = scenario_from_json(data["scenario"])
     payoff = _table_from_rows(data["payoff"], sc.n_outcomes, sc.n_settings, "payoff")
-    dist = tuple(rational_from_json(v) for v in _require_list(data["settings"], "settings"))
+    dist = tuple(_printable_rational(v) for v in _require_list(data["settings"], "settings"))
     bound = data.get("known_pc_bound")
     name = data.get("name", "")
     if not isinstance(name, str):
@@ -205,7 +222,7 @@ def game_from_json(data: dict) -> Game:
         payoff,
         dist,
         name=name,
-        known_pc_bound=None if bound is None else rational_from_json(bound),
+        known_pc_bound=None if bound is None else _printable_rational(bound),
     )
 
 

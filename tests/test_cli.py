@@ -17,9 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 from causelab import (
     Correlation,
+    DeterministicIntervention,
     QuasiProcess,
     QuasiProcessFunction,
     Scenario,
+    evaluate_correlation,
+    is_process_function,
     make_scenario,
     quasiprocess_from_function,
 )
@@ -30,6 +33,7 @@ from causelab.games import (
     gyni_perfect_correlation,
     gynin_perfect_correlation,
     pr_box_correlation,
+    score,
 )
 
 
@@ -368,6 +372,39 @@ class TestBadInput:
             "message": f"cannot parse rational {long!r}: its exponent exceeds 4300",
         }
 
+    @pytest.mark.parametrize("bound_set", ["causal", "pc"])
+    def test_values_too_long_to_print_exit_two(self, tmp_path, capsys, bound_set):
+        # 10^4300 has 4,301 digits, one past what str() of an int will write
+        one = {"settings": [1], "outcomes": [2], "inputs": [1], "outputs": [1]}
+        path = tmp_path / "long-value.json"
+        path.write_text(json.dumps({"scenario": one, "payoff": [["1e4300"], ["0"]], "settings": ["1"]}))
+        assert main(["bound", "--game", str(path), "--set", bound_set]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "error": "InvalidTable",
+            "message": "cannot parse rational '1e4300': its numerator has more than 4300 digits",
+        }
+        path.write_text(json.dumps({"scenario": one, "payoff": [["1e4299"], ["0"]], "settings": ["1"]}))
+        assert main(["bound", "--game", str(path), "--set", bound_set]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["value"] == str(10**4299)
+
+    def test_a_long_bad_value_is_echoed_in_part(self, tmp_path, capsys):
+        # the denominator's 4,400 digits fail Python's integer-string limit
+        one = {"settings": [1], "outcomes": [2], "inputs": [1], "outputs": [1]}
+        path = tmp_path / "long-denominator.json"
+        bad = "1/" + "9" * 4400
+        path.write_text(json.dumps({"scenario": one, "payoff": [[bad], ["0"]], "settings": ["1"]}))
+        assert main(["bound", "--game", str(path), "--set", "causal"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "InvalidTable"
+        assert error["message"].startswith(f"cannot parse rational {bad[:40]!r}... (4402 characters): ")
+        assert len(line) < 400
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -420,9 +457,10 @@ LEAN_COMMANDS = pytest.mark.parametrize(
         *((("bound", "--game", game, "--set", "pc"), 0) for game in ("chsh", "gyni", "gynin", "ocb")),
         (("bound", "--game", "no-such-game", "--set", "dc"), 2),
         (("enum-pf", "--parties", "4", "--alphabet", "2", "--reduced"), 3),
+        (("enum-pf", "--parties", "65", "--alphabet", "1"), 3),
     ],
     ids=["causal-bound", "pc-chsh", "pc-gyni", "pc-gynin", "pc-ocb", "unknown-game",
-         "four-party-cap"],
+         "four-party-cap", "sixty-five-party-axes"],
 )
 
 NUMPY_PROBE = """
@@ -555,8 +593,8 @@ def test_numeric_requests_leave_numpy_ma_unloaded(statement):
 @pytest.fixture(scope="module")
 def oversized_files(tmp_path_factory):
     """A six-party binary game, a game and a behaviour whose first party has 30
-    inputs, the uniform behaviour of four binary parties, one-letter games of 40
-    and 1,000 parties, the 40-party table, the 1,000-party process, a 33-party
+    inputs, the uniform behaviour of four binary parties, one-letter games of 40,
+    64 and 1,000 parties, the 40-party table, the 1,000-party process, a 33-party
     process matrix, a game of two 40-setting parties with one outcome each, and
     a game whose payoff overflows 64-bit scoring."""
     from causelab.quantum import ProcessMatrix
@@ -574,6 +612,7 @@ def oversized_files(tmp_path_factory):
         "thirty_correlation": ser.correlation_to_json(Correlation(wide, (Fraction(1, 4),) * 4)),
         "four_uniform": ser.correlation_to_json(Correlation(four, (Fraction(1, 16),) * 256)),
         "forty_party": ser.game_to_json(Game(forty, (1,), (1,))),
+        "sixty_four_party": ser.game_to_json(Game(make_scenario(64, 1, 1, 1, 1), (1,), (1,))),
         "thousand_party": ser.game_to_json(Game(thousand, (1,), (1,))),
         "forty_correlation": ser.correlation_to_json(Correlation(forty, (1,))),
         "thousand_process": ser.quasiprocess_to_json(QuasiProcess(thousand, (1,))),
@@ -636,11 +675,12 @@ class TestEnumPf:
              "causal recursion exceeds 500000 states"),
             (["bound", "--game", "{thousand_party}", "--set", "causal"],
              "causal recursion exceeds 500000 states"),
-            # one candidate and one output choice, but two table axes per party
-            (["enum-pf", "--parties", "40", "--alphabet", "1"],
-             "the survey's output-choice table needs 80 array axes, above numpy's limit of 64"),
-            (["bound", "--game", "{forty_party}", "--set", "dc"],
-             "the survey's output-choice table needs 80 array axes, above numpy's limit of 64"),
+            # one candidate and one output choice, but one projection axis per party
+            (["enum-pf", "--parties", "65", "--alphabet", "1"],
+             "the survey's candidate projection needs 65 array axes, above numpy's limit of 64"),
+            # the DC search's outcome offsets: one axis per party, plus rows and settings
+            (["bound", "--game", "{sixty_four_party}", "--set", "dc"],
+             "the DC search needs 66 array axes, above numpy's limit of 64"),
             # one class-grid axis per (party, setting), plus the grid's own
             (["bound", "--game", "{forty_settings}", "--set", "dc"],
              "a class grid needs 81 array axes, above numpy's limit of 64"),
@@ -651,8 +691,9 @@ class TestEnumPf:
              "scaled payoff would overflow 64-bit accumulation"),
         ],
         ids=["four-binary", "five-binary", "six-binary-reduced", "300-binary", "six-party-dc",
-             "thirty-inputs-dc", "forty-party-causal", "thousand-party-causal", "forty-party-enum",
-             "forty-party-dc", "forty-settings-dc", "thirty-three-party-pm-eval", "huge-payoff-dc"],
+             "thirty-inputs-dc", "forty-party-causal", "thousand-party-causal",
+             "sixty-five-party-enum", "sixty-four-party-dc", "forty-settings-dc",
+             "thirty-three-party-pm-eval", "huge-payoff-dc"],
     )
     def test_default_caps_stop_four_binary_parties_at_once(self, oversized_files, args, message):
         started = time.monotonic()
@@ -706,9 +747,38 @@ class TestEnumPf:
             },
         }
 
+    def test_forty_one_letter_parties_enumerate_their_one_function(self):
+        # the survey's candidate projection needs one axis per party
+        proc = run_cli("enum-pf", "--parties", "40", "--alphabet", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert report(proc)["result"]["count"] == 1
+        assert report(proc)["result"]["functions"] == [[[0]] * 40]
+
+    def test_forty_one_letter_parties_get_a_replaying_dc_bound(self, oversized_files):
+        # the DC search needs at most two axes more than the parties
+        proc = run_cli("bound", "--game", oversized_files["forty_party"], "--set", "dc")
+        assert proc.returncode == 0, proc.stderr
+        result = report(proc)["result"]
+        assert result["value"] == "1"
+        # replay the witness: a process function, whose correlation under the
+        # witness intervention scores the reported value
+        witness = result["witness"]
+        omega = ser.process_function_from_json(witness["process_function"])
+        assert is_process_function(omega).is_process_function
+        as_tuples = lambda maps: tuple(tuple(map(tuple, party)) for party in maps)
+        intervention = DeterministicIntervention(
+            as_tuples(witness["intervention"]["output_maps"]),
+            as_tuples(witness["intervention"]["outcome_maps"]),
+        )
+        game = ser.game_from_json(ser.load_json(oversized_files["forty_party"]))
+        replay = evaluate_correlation(
+            quasiprocess_from_function(omega), intervention.to_family(omega.scenario)
+        )
+        assert score(game, replay.to_correlation()) == Fraction(result["value"])
+
     def test_many_one_letter_parties_get_every_verdict_numpy_allows(self, oversized_files):
         # the vertex test and the PC LP are Python-integer code with no party axes;
-        # only the DC survey needs two numpy axes per party
+        # the DC survey needs one numpy axis per party and the DC search two more
         for args in (
             ["check-consistency", oversized_files["thousand_process"]],
             ["bound", "--game", oversized_files["thousand_party"], "--set", "pc"],
@@ -720,12 +790,18 @@ class TestEnumPf:
         result = report(proc)["result"]
         assert (result["qc"]["status"], result["pc"]["status"]) == ("in", "in")
         assert result["dc"] == {
-            "status": "unknown",
-            "certificate": {
-                "downgraded": "the survey's output-choice table needs 80 array axes, above "
-                "numpy's limit of 64"
-            },
+            "status": "in",
+            "certificate": {"n_vertices": 1, "support": [{"vertex_index": 0, "weight": "1"}]},
         }
+        # one joint outcome at one joint setting: the only deterministic behaviour is (1,)
+        vertices = [(Fraction(1),)]
+        support = result["dc"]["certificate"]["support"]
+        table = ser.correlation_from_json(ser.load_json(oversized_files["forty_correlation"])).table
+        rebuilt = [
+            sum(Fraction(s["weight"]) * vertices[s["vertex_index"]][j] for s in support)
+            for j in range(len(table))
+        ]
+        assert rebuilt == list(table)
 
     def test_cap_exceeded_exit_code(self):
         proc = run_cli(

@@ -22,6 +22,7 @@ from causelab import (
     mixture_process,
     quasiprocess_from_function,
 )
+from causelab import consistency
 from causelab.consistency import (
     CANDIDATE_CAP,
     ConsistencyVerdict,
@@ -329,14 +330,42 @@ class TestEnumeration:
             assert survey == {maps for maps, _ in brute_force_survey(sc, reduced=False)}
 
     @pytest.mark.parametrize(
-        "parties, alphabet, reduced, count",
-        [(3, 2, True, 744), (2, 2, False, 12), (2, 3, True, 153)],
+        "sc, reduced, count",
+        [
+            (make_scenario(3, 2, 2, 2, 2), True, 744),
+            (make_scenario(2, 2, 2, 2, 2), False, 12),
+            (make_scenario(2, 3, 3, 3, 3), True, 153),
+            (Scenario((2, 3), (2, 2), (2, 3), (3, 2)), True, 60),
+            (make_scenario(2, 2, 2, 2, 4), True, 60),
+            (make_scenario(2, 2, 2, 4, 2), True, 112),
+        ],
+        ids=["3-2-True-744", "2-2-False-12", "2-3-True-153", "mixed-True-60",
+             "four-outputs-True-60", "four-inputs-True-112"],
     )
-    def test_survey_equals_brute_force(self, parties, alphabet, reduced, count):
-        sc = make_scenario(parties, alphabet, alphabet, alphabet, alphabet)
+    def test_survey_equals_brute_force(self, sc, reduced, count):
         oracle = brute_force_survey(sc, reduced)
         assert len(oracle) == count
         assert _survey_process_functions(sc, CANDIDATE_CAP) == oracle
+
+    @pytest.mark.parametrize("cards", [(3, 2, 2, 2, 2), (2, 3, 3, 3, 3)], ids=["gynin", "ternary"])
+    def test_batch_size_does_not_change_the_survey(self, monkeypatch, cards):
+        # one candidate per batch, then every candidate in one batch; each
+        # batch is one contraction
+        sc = make_scenario(*cards)
+        survey = _survey_process_functions(sc, CANDIDATE_CAP)
+        batches = []
+        kernel = consistency._choice_masses
+        monkeypatch.setattr(
+            consistency, "_choice_masses", lambda *args: batches.append(1) or kernel(*args)
+        )
+        monkeypatch.setattr(consistency, "SURVEY_BATCH_CANDIDATES", 1)
+        assert _survey_process_functions(sc, CANDIDATE_CAP) == survey
+        assert len(batches) == _candidate_axes(sc)[1]
+        batches.clear()
+        monkeypatch.setattr(consistency, "SURVEY_BATCH_CANDIDATES", 2**40)
+        monkeypatch.setattr(consistency, "CHOICE_TABLE_CELL_CAP", 2**40)
+        assert _survey_process_functions(sc, CANDIDATE_CAP) == survey
+        assert len(batches) == 1
 
     def test_three_party_count_regression(self, gynin_scenario):
         assert len(list(enumerate_process_functions(gynin_scenario))) == 744

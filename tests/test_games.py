@@ -51,7 +51,7 @@ from causelab.games import (
     score,
 )
 from causelab import lp as lp_module
-from causelab.scenario import canonical_scenario, flatten
+from causelab.scenario import canonical_scenario, flatten, iter_tuples
 
 from conftest import random_correlation, random_guessing_game
 
@@ -531,7 +531,47 @@ class TestDcBound:
         assert dc_bound.__wrapped__(flipped).value == Fraction(5, 8)
 
 
+def pc_rows_oracle(sc):
+    """Test-local oracle for the canonical PC LP's equality rows: per output
+    choice, in enumeration order, unit coefficients at its cells (i, f(i))."""
+    n_o = sc.n_outputs
+    rows = []
+    for choice in enumerate_output_choices(sc):
+        coeffs = [Fraction(0)] * (sc.n_inputs * n_o)
+        for i_flat, i in enumerate(iter_tuples(sc.inputs)):
+            coeffs[i_flat * n_o + flatten(choice.apply(i), sc.outputs)] = Fraction(1)
+        rows.append((tuple(coeffs), Fraction(1)))
+    return tuple(rows)
+
+
+def ternary_gyni():
+    """Two parties with ternary settings and outcomes, each winning on the other's setting."""
+    sc = make_scenario(2, 3, 3, 3, 3)
+    n_a = sc.n_settings
+    payoff = [0] * (sc.n_outcomes * n_a)
+    for a_flat, a in enumerate(sc.setting_tuples()):
+        payoff[flatten((a[1], a[0]), sc.outcomes) * n_a + a_flat] = 1
+    return Game(sc, tuple(payoff), (Fraction(1, n_a),) * n_a)
+
+
 class TestPcBound:
+    @pytest.mark.parametrize(
+        "game",
+        [builtin_gynin(), builtin_ocb(), builtin_gyni(), builtin_chsh(), ternary_gyni()],
+        ids=["gynin", "ocb", "gyni", "chsh", "ternary-gyni"],
+    )
+    def test_rows_equal_the_output_choice_oracle(self, monkeypatch, game):
+        class Solved(Exception):
+            pass
+
+        def solve(lp):
+            assert lp.eq == pc_rows_oracle(canonical_scenario(game.scenario))
+            raise Solved
+
+        monkeypatch.setattr(games_module, "lp_solve", solve)
+        with pytest.raises(Solved):
+            pc_bound_canonical(game)
+
     def test_gynin_pc_one_with_bfw_optimizer(self):
         result = pc_bound_canonical(builtin_gynin())
         assert result.value == 1
@@ -551,12 +591,7 @@ class TestPcBound:
     )
     def test_lp_size_cap_is_read_before_the_rows(self, monkeypatch, cap, admitted):
         # ternary GYNI: 729 equality rows x (81 variables + 729 artificials + 1)
-        sc = make_scenario(2, 3, 3, 3, 3)
-        n_a = sc.n_settings
-        payoff = [0] * (sc.n_outcomes * n_a)
-        for a_flat, a in enumerate(sc.setting_tuples()):
-            payoff[flatten((a[1], a[0]), sc.outcomes) * n_a + a_flat] = 1
-        game = Game(sc, tuple(payoff), (Fraction(1, n_a),) * n_a)
+        game = ternary_gyni()
 
         class Solved(Exception):
             pass

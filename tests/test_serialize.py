@@ -39,6 +39,25 @@ class TestRationals:
             ser.rational_from_json(text)
 
 
+    @pytest.mark.parametrize(
+        "text, part",
+        [("1e4300", "numerator"), ("-1e4300", "numerator"), ("1e-4300", "denominator")],
+    )
+    def test_document_values_past_the_digit_limit_rejected(self, text, part):
+        one = {"settings": [1], "outcomes": [2], "inputs": [1], "outputs": [1]}
+        with pytest.raises(InvalidTable, match=f"its {part} has more than 4300 digits"):
+            ser.game_from_json({"scenario": one, "payoff": [[text], ["0"]], "settings": ["1"]})
+        with pytest.raises(InvalidTable, match=f"its {part} has more than 4300 digits"):
+            ser.correlation_from_json({"scenario": one, "p": [[text], ["1"]]})
+
+    def test_document_values_up_to_the_digit_limit_read(self):
+        one = {"settings": [1], "outcomes": [2], "inputs": [1], "outputs": [1]}
+        game = ser.game_from_json(
+            {"scenario": one, "payoff": [["1e4299"], ["-1e-4299"]], "settings": ["1"]}
+        )
+        assert game.payoff == (10**4299, Fraction(-1, 10**4299))
+
+
 class TestScenario:
     def test_round_trip(self):
         sc = make_scenario(2, (2, 4), 2, 2, (2, 4))
