@@ -42,7 +42,8 @@ from .scenario import strides, unflatten
 
 CANDIDATE_CAP = 2**32
 # Survey steps (candidates x output choices x joint inputs) allowed in one survey:
-# 3.5-9.6 x 10^8 per second on one core, 4 x 10^7 for 50,000 inputs and one output.
+# 3.5-9.6 x 10^8 per second on one core.  A party with one output letter leaves
+# the contraction, so its inputs cost far less (50,000 of them: 2.5 x 10^9 in 0.1 s).
 SURVEY_WORK_CAP = 10**10
 # Candidates per survey batch, enough to outweigh numpy's per-call overhead;
 # fewer where (cells + output choices) x candidates would pass the cap below.
@@ -245,10 +246,13 @@ def _survey_process_functions(
 
     Returns ``((maps, fp_table), ...)`` where ``fp_table[c]`` is the flattened
     unique fixed point at the c-th output choice (enumeration order).
-    Candidates are scanned in lex order, in batches: cells [w_t(o) = i],
-    numpy arrays over the batch, weighted 1 + m*flat(i) for m = n_inputs + 1,
-    are summed by :func:`_choice_masses`, so a choice's mass % m counts its
-    fixed points and, when that is 1, mass // m is the fixed point.  The
+    A party with one output letter has one output map, so the contraction
+    needs none of its inputs: the kernel scenario gives such parties one
+    input, and a joint input i keeps only its other digits, i'.  Candidates
+    are scanned in lex order, in batches: cells [w_t(o)' = i'], numpy arrays
+    over the batch, weighted 1 + m*flat(w_t(o)) for m = n_inputs + 1, are
+    summed by :func:`_choice_masses` on the kernel, so a choice's mass % m
+    counts its fixed points and, when that is 1, mass // m is the fixed point.  The
     candidate count, read from the scenario, is capped by ``cap``, the work
     (candidates x output choices x joint inputs) by ``SURVEY_WORK_CAP``, the
     projection's axes by numpy's limit, then ``CHOICE_TABLE_CELL_CAP``.
@@ -270,21 +274,25 @@ def _survey_process_functions(
         )
     axes, _ = _candidate_axes(scenario)
     _check_choice_cells(scenario)
+    kernel_inputs = tuple(d_i if d_o > 1 else 1 for d_i, d_o in zip(scenario.inputs, scenario.outputs))
+    kernel = Scenario(scenario.settings, scenario.outcomes, kernel_inputs, scenario.outputs)
+    # flat(i) -> flat(i'), i' dropping the digits of the parties with one output letter
+    marks = np.arange(kernel.n_inputs, dtype=np.int64)
+    mark_of = np.broadcast_to(marks.reshape(kernel_inputs), scenario.inputs).reshape(-1)
     # Candidate t's component k is axis k's entry at digit t // place[k] % len(axis).
     place = strides([len(axis) for axis in axes])
     components = [axis * stride for axis, stride in zip(axes, strides(scenario.inputs))]
-    held = scenario.n_inputs * scenario.n_outputs + choices  # entries per candidate
+    held = kernel.n_inputs * scenario.n_outputs + choices  # entries per candidate
     batch = max(1, min(SURVEY_BATCH_CANDIDATES, CHOICE_TABLE_CELL_CAP // held))
-    inputs = np.arange(scenario.n_inputs, dtype=np.int64)
-    m = len(inputs) + 1
+    m = scenario.n_inputs + 1
 
     kept, fixed = [], []  # per batch: surviving candidate indices, their fixed points
     for start in range(0, total, batch):
         t = np.arange(start, min(start + batch, total), dtype=np.int64)
         omega = sum(comp[t // place[k] % len(comp)] for k, comp in enumerate(components))
-        # cell (i, o), at flat index i * n_o + o, over the batch's candidates
-        cells = (omega.T == inputs[:, None, None]) * (1 + m * inputs)[:, None, None]
-        masses = np.array(_choice_masses(scenario, list(cells.reshape(-1, len(t)))))
+        # cell (i', o), at flat index i' * n_o + o, over the batch's candidates
+        cells = (mark_of[omega.T] == marks[:, None, None]) * (1 + m * omega.T)
+        masses = np.array(_choice_masses(kernel, list(cells.reshape(-1, len(t)))))
         unique = (masses % m == 1).all(axis=0)
         kept.append(t[unique])
         fixed.append(masses[:, unique].T // m)
@@ -317,7 +325,7 @@ def _function_mixture_table(
     """p(i|o) = total weight of the components with w(o) = i."""
     weight_at: Counter = Counter()
     for omega, weight in components:
-        for o in scenario.output_tuples():
+        for o in iter_tuples(scenario.outputs):
             weight_at[omega.apply(o), o] += weight
     return QuasiProcess(
         scenario, conditional_table(scenario.inputs, scenario.outputs, lambda i, o: weight_at[i, o])

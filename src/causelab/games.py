@@ -50,10 +50,10 @@ from .scenario import (
     DeterministicIntervention,
     QuasiProcess,
     Scenario,
-    canonical_interventions,
     canonical_scenario,
     conditional_table,
     evaluate_correlation,
+    iter_tuples,
     make_scenario,
     strides,
     universal_realization,
@@ -144,10 +144,6 @@ def score(game: Game, corr) -> Fraction | float:
 # ---------------------------------------------------------------------------
 
 
-def _uniform(n: int) -> tuple[Fraction, ...]:
-    return (Fraction(1, n),) * n
-
-
 def _neighbour_or_not(x: tuple[int, ...], a: tuple[int, ...]) -> bool:
     """x equals (a3, a1, a2) or its bitwise complement."""
     return x[0] ^ a[2] == x[1] ^ a[0] == x[2] ^ a[1]
@@ -155,7 +151,7 @@ def _neighbour_or_not(x: tuple[int, ...], a: tuple[int, ...]) -> bool:
 
 def _game(sc: Scenario, name: str, wins) -> Game:
     payoff = conditional_table(sc.outcomes, sc.settings, wins)
-    return Game(sc, payoff, _uniform(sc.n_settings), name=name)
+    return Game(sc, payoff, (Fraction(1, sc.n_settings),) * sc.n_settings, name=name)
 
 
 def builtin_gynin() -> Game:
@@ -218,9 +214,13 @@ def bfw_process() -> QuasiProcess:
 
 
 def gynin_perfect_correlation() -> Correlation:
-    """The behaviour that wins the tripartite game with certainty."""
-    report = evaluate_correlation(bfw_process(), canonical_interventions(bfw_process().scenario))
-    return report.to_correlation()
+    """The behaviour that wins the tripartite game with certainty: half gynin's win table.
+
+    It is ``bfw_process().table``: gynin's scenario is its own canonical scenario,
+    where the canonical interventions read p(x=i|a=o) straight off p(i|o).
+    """
+    gynin = builtin_gynin()
+    return Correlation(gynin.scenario, tuple(win / 2 for win in gynin.payoff))
 
 
 def gyni_perfect_correlation() -> Correlation:
@@ -362,7 +362,7 @@ class _DcSearch:
         self.sc = scenario
         self.candidate_cap = candidate_cap
         self.n = scenario.n_parties
-        self.settings_of = np.array(list(scenario.setting_tuples()), dtype=np.int64).reshape(-1, self.n)
+        self.settings_of = np.array(list(iter_tuples(scenario.settings)), dtype=np.int64).reshape(-1, self.n)
         self.n_a = scenario.n_settings
         # Output choices per party; outcome maps over (setting, input) cells
         # a * d_I + i (hmap) and over inputs alone (smap, one setting's slice);

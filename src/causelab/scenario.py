@@ -126,18 +126,6 @@ class Scenario(Record):
     def n_outputs(self) -> int:
         return prod(self.outputs)
 
-    def setting_tuples(self) -> Iterator[tuple[int, ...]]:
-        return iter_tuples(self.settings)
-
-    def outcome_tuples(self) -> Iterator[tuple[int, ...]]:
-        return iter_tuples(self.outcomes)
-
-    def input_tuples(self) -> Iterator[tuple[int, ...]]:
-        return iter_tuples(self.inputs)
-
-    def output_tuples(self) -> Iterator[tuple[int, ...]]:
-        return iter_tuples(self.outputs)
-
 
 def make_scenario(
     n_parties: int,
@@ -352,8 +340,8 @@ def evaluate_correlation(
             [[(*row, p) for row, p in zip(rows, local[col::n_cols]) if p] for col in range(n_cols)]
         )
     table = [ZERO] * (n_x * n_a)
-    input_tuples = list(sc.input_tuples())
-    for a_flat, a in enumerate(sc.setting_tuples()):
+    input_tuples = list(iter_tuples(sc.inputs))
+    for a_flat, a in enumerate(iter_tuples(sc.settings)):
         for i_flat, i in enumerate(input_tuples):
             columns = (support[k][a[k] * sc.inputs[k] + i[k]] for k in range(sc.n_parties))
             for terms in itertools.product(*columns):

@@ -14,6 +14,7 @@ from causelab import (
     make_scenario,
     quasiprocess_from_function,
 )
+from causelab.scenario import iter_tuples
 
 # Tests start child interpreters (``python -m causelab``, ``python -c``); they
 # import causelab from this checkout too.
@@ -96,8 +97,8 @@ def random_guessing_game(rng: random.Random):
     u = [rng.randrange(2) for _ in range(2)]  # target for x1, as a function of a2
     v = [rng.randrange(2) for _ in range(2)]  # target for x2, as a function of a1
     payoff = [Fraction(0)] * (sc.n_outcomes * n_a)
-    for a_flat, (a1, a2) in enumerate(sc.setting_tuples()):
-        for x_flat, (x1, x2) in enumerate(sc.outcome_tuples()):
+    for a_flat, (a1, a2) in enumerate(iter_tuples(sc.settings)):
+        for x_flat, (x1, x2) in enumerate(iter_tuples(sc.outcomes)):
             if x1 == u[a2] and x2 == v[a1]:
                 payoff[x_flat * n_a + a_flat] = Fraction(1)
     return Game(sc, tuple(payoff), (Fraction(1, 4),) * n_a)

@@ -33,7 +33,7 @@ from causelab.consistency import (
 from causelab.errors import InvalidMixture, SearchSpaceTooLarge
 from causelab.games import bfw_process
 from causelab.lp import _scaled
-from causelab.scenario import flatten
+from causelab.scenario import flatten, iter_tuples
 
 from conftest import identity_loop
 
@@ -236,7 +236,7 @@ def fixed_point_count_verdict(omega) -> FunctionVerdict:
 def brute_force_survey(scenario, reduced):
     """Test-local survey oracle: every candidate in lex order, kept when
     :func:`fixed_points` finds exactly one fixed point at every output choice."""
-    outputs = list(scenario.output_tuples())
+    outputs = list(iter_tuples(scenario.outputs))
     axes = []
     for k, d_i in enumerate(scenario.inputs):
         if not reduced:
@@ -272,7 +272,7 @@ def projection_candidate_axes(scenario):
         other_cards = [d for j, d in enumerate(scenario.outputs) if j != k]
         projection = [
             flatten([v for j, v in enumerate(o) if j != k], other_cards)
-            for o in scenario.output_tuples()
+            for o in iter_tuples(scenario.outputs)
         ]
         axes.append([
             tuple(values[flat] for flat in projection)
@@ -338,14 +338,26 @@ class TestEnumeration:
             (Scenario((2, 3), (2, 2), (2, 3), (3, 2)), True, 60),
             (make_scenario(2, 2, 2, 2, 4), True, 60),
             (make_scenario(2, 2, 2, 4, 2), True, 112),
+            (Scenario((1, 1), (1, 1), (3, 2), (1, 2)), True, 18),
+            (Scenario((1, 1, 1), (1, 1, 1), (2, 3, 2), (2, 1, 2)), True, 972),
+            (make_scenario(1, 1, 1, 5, 1), True, 5),
         ],
         ids=["3-2-True-744", "2-2-False-12", "2-3-True-153", "mixed-True-60",
-             "four-outputs-True-60", "four-inputs-True-112"],
+             "four-outputs-True-60", "four-inputs-True-112", "one-output-first-True-18",
+             "one-output-middle-True-972", "one-output-only-True-5"],
     )
     def test_survey_equals_brute_force(self, sc, reduced, count):
         oracle = brute_force_survey(sc, reduced)
         assert len(oracle) == count
         assert _survey_process_functions(sc, CANDIDATE_CAP) == oracle
+
+    def test_one_output_party_inputs_leave_the_contraction(self):
+        # one output choice: every constant is a process function, with its
+        # value as the fixed point; 20,000 inputs need no 20,000-cell contraction
+        started = time.perf_counter()
+        survey = _survey_process_functions(make_scenario(1, 1, 1, 20000, 1), CANDIDATE_CAP)
+        assert time.perf_counter() - started < 2.0
+        assert survey == tuple((((v,),), (v,)) for v in range(20000))
 
     @pytest.mark.parametrize("cards", [(3, 2, 2, 2, 2), (2, 3, 3, 3, 3)], ids=["gynin", "ternary"])
     def test_batch_size_does_not_change_the_survey(self, monkeypatch, cards):

@@ -16,6 +16,7 @@ from scipy.optimize import linprog
 from causelab import (
     Correlation,
     Scenario,
+    canonical_interventions,
     evaluate_correlation,
     make_scenario,
     quasiprocess_from_function,
@@ -119,6 +120,13 @@ class TestBuiltinGames:
             )
             assert winners == 1
 
+    def test_gynin_perfect_is_bfw_under_the_canonical_interventions(self):
+        # half gynin's win table, checked against the derivation it replaced
+        process = bfw_process()
+        report = evaluate_correlation(process, canonical_interventions(process.scenario))
+        assert gynin_perfect_correlation() == report.to_correlation()
+        assert gynin_perfect_correlation().table == process.table
+
     def test_builtin_lookup(self):
         assert builtin_game("chsh").name == "chsh"
         with pytest.raises(KeyError):
@@ -142,7 +150,7 @@ def bipartite_causal_oracle(game: Game) -> Fraction:
         for fmap in firsts:
             for smap in seconds:
                 total = Fraction(0)
-                for a_flat, a in enumerate(sc.setting_tuples()):
+                for a_flat, a in enumerate(iter_tuples(sc.settings)):
                     x = [0, 0]
                     x[first] = fmap[a[first]]
                     x[second] = smap[a[first] * sc.settings[second] + a[second]]
@@ -171,7 +179,7 @@ def bipartite_dc_oracle(game: Game) -> Fraction:
             for message in itertools.product(range(2), repeat=2):  # i_receiver(a_sender)
                 for beta in itertools.product(range(2), repeat=4):  # x_receiver(a_receiver, i)
                     total = Fraction(0)
-                    for a_flat, a in enumerate(sc.setting_tuples()):
+                    for a_flat, a in enumerate(iter_tuples(sc.settings)):
                         x = [0, 0]
                         x[sender] = alpha[a[sender]]
                         x[receiver] = beta[a[receiver] * 2 + message[a[sender]]]
@@ -204,7 +212,7 @@ def deterministic_behaviours_oracle(scenario) -> tuple[tuple[Fraction, ...], ...
     for omega in enumerate_process_functions(scenario):
         for f in output_families:
             row = []
-            for a in scenario.setting_tuples():
+            for a in iter_tuples(scenario.settings):
                 (i,) = fixed_points(omega, OutputChoice(tuple(f[k][a[k]] for k in range(n))))
                 row.append(i)
             rows.add(tuple(row))
@@ -212,7 +220,7 @@ def deterministic_behaviours_oracle(scenario) -> tuple[tuple[Fraction, ...], ...
     for row in rows:
         for g in outcome_families:
             vertex = [0] * (scenario.n_outcomes * n_a)
-            for a_flat, (a, i) in enumerate(zip(scenario.setting_tuples(), row)):
+            for a_flat, (a, i) in enumerate(zip(iter_tuples(scenario.settings), row)):
                 x = tuple(g[k][a[k]][i[k]] for k in range(n))
                 vertex[flatten(x, scenario.outcomes) * n_a + a_flat] = 1
             vertices.add(tuple(vertex))
@@ -289,7 +297,7 @@ def first_occurrence_scan(cards):
     for index, (_, fp) in enumerate(_survey_cached(sc, CANDIDATE_CAP)):
         table = np.asarray(fp).reshape(F)
         rows = np.stack(
-            [table[tuple(grid[offset[k] + a[k]] for k in range(n))] for a in sc.setting_tuples()],
+            [table[tuple(grid[offset[k] + a[k]] for k in range(n))] for a in iter_tuples(sc.settings)],
             axis=1,
         )
         # each function's distinct rows in grid order, keyed as base-n_inputs numbers
@@ -381,7 +389,7 @@ class TestDcBound:
         for m1 in itertools.product(range(2), repeat=2):
             for m2 in itertools.product(range(2), repeat=2):
                 total = Fraction(0)
-                for a_flat, (a1, a2) in enumerate(game.scenario.setting_tuples()):
+                for a_flat, (a1, a2) in enumerate(iter_tuples(game.scenario.settings)):
                     x_flat = flatten((m1[a1], m2[a2]), game.scenario.outcomes)
                     total += game.setting_dist[a_flat] * game.payoff[x_flat * 4 + a_flat]
                 best = total if best is None else max(best, total)
@@ -467,7 +475,7 @@ class TestDcBound:
         offset = [sum(sc.settings[:k]) for k in range(sc.n_parties)]
         for r in range(len(rows)):
             omega = QuasiProcessFunction(sc, search.survey[survey[r]][0])
-            for a_flat, a in enumerate(sc.setting_tuples()):
+            for a_flat, a in enumerate(iter_tuples(sc.settings)):
                 choice = OutputChoice(tuple(
                     tuple(search.choices(k)[choices[r, offset[k] + a[k]]].tolist())
                     for k in range(sc.n_parties)
@@ -509,9 +517,9 @@ class TestDcBound:
         n_a = sc.n_settings
         perm = (1, 2, 0)
         payoff = [Fraction(0)] * len(base.payoff)
-        for a_flat, a in enumerate(sc.setting_tuples()):
+        for a_flat, a in enumerate(iter_tuples(sc.settings)):
             pa = flatten(tuple(a[p] for p in perm), sc.settings)
-            for x_flat, x in enumerate(sc.outcome_tuples()):
+            for x_flat, x in enumerate(iter_tuples(sc.outcomes)):
                 px = flatten(tuple(x[p] for p in perm), sc.outcomes)
                 payoff[x_flat * n_a + a_flat] = base.payoff[px * n_a + pa]
         relabeled = Game(sc, tuple(payoff), base.setting_dist)
@@ -522,9 +530,9 @@ class TestDcBound:
         sc = base.scenario
         n_a = sc.n_settings
         payoff = [Fraction(0)] * len(base.payoff)
-        for a_flat, a in enumerate(sc.setting_tuples()):
+        for a_flat, a in enumerate(iter_tuples(sc.settings)):
             fa = flatten(tuple(1 - v for v in a), sc.settings)
-            for x_flat, x in enumerate(sc.outcome_tuples()):
+            for x_flat, x in enumerate(iter_tuples(sc.outcomes)):
                 fx = flatten(tuple(1 - v for v in x), sc.outcomes)
                 payoff[x_flat * n_a + a_flat] = base.payoff[fx * n_a + fa]
         flipped = Game(sc, tuple(payoff), base.setting_dist)
@@ -549,7 +557,7 @@ def ternary_gyni():
     sc = make_scenario(2, 3, 3, 3, 3)
     n_a = sc.n_settings
     payoff = [0] * (sc.n_outcomes * n_a)
-    for a_flat, a in enumerate(sc.setting_tuples()):
+    for a_flat, a in enumerate(iter_tuples(sc.settings)):
         payoff[flatten((a[1], a[0]), sc.outcomes) * n_a + a_flat] = 1
     return Game(sc, tuple(payoff), (Fraction(1, n_a),) * n_a)
 
@@ -650,7 +658,7 @@ class TestWeightedSettings:
         rows = []
         for choice in enumerate_output_choices(canonical):
             row = np.zeros(len(phi))
-            for i in canonical.input_tuples():
+            for i in iter_tuples(canonical.inputs):
                 o = choice.apply(i)
                 row[flatten(i, canonical.inputs) * n_a + flatten(o, canonical.outputs)] = 1
             rows.append(row)
@@ -728,7 +736,7 @@ class TestClassify:
         sc = make_scenario(2, 2, 2, 1, 1)
         n_a = sc.n_settings
         table = [Fraction(0)] * (sc.n_outcomes * n_a)
-        for a_flat, (a1, a2) in enumerate(sc.setting_tuples()):
+        for a_flat, (a1, a2) in enumerate(iter_tuples(sc.settings)):
             table[flatten((a1, 1 - a2), sc.outcomes) * n_a + a_flat] = Fraction(1)
         corr = Correlation(sc, tuple(table))
         label = classify(corr)
@@ -746,7 +754,7 @@ class TestClassify:
         sc = make_scenario(2, 2, 2, 1, 1)
         n_a = sc.n_settings
         table = [Fraction(0)] * (sc.n_outcomes * n_a)
-        for a_flat, (a1, a2) in enumerate(sc.setting_tuples()):
+        for a_flat, (a1, a2) in enumerate(iter_tuples(sc.settings)):
             table[flatten((a1, a2), sc.outcomes) * n_a + a_flat] += HALF
             table[flatten((1 - a1, 1 - a2), sc.outcomes) * n_a + a_flat] += HALF
         label = classify(Correlation(sc, tuple(table)))

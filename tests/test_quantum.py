@@ -36,6 +36,7 @@ from causelab.quantum import (
     is_valid_process_matrix,
     pm_correlation,
 )
+from causelab.scenario import iter_tuples
 
 from conftest import identity_loop, random_interventions
 from test_bench_contract import load_tracing
@@ -303,8 +304,8 @@ def reference_correlation(pm, instruments) -> list[complex]:
     """p(x|a) at x_flat * n_a + a_flat, one (a, x) pair at a time."""
     sc = pm.scenario
     table = [0j] * (sc.n_outcomes * sc.n_settings)
-    for a_flat, a in enumerate(sc.setting_tuples()):
-        for x_flat, x in enumerate(sc.outcome_tuples()):
+    for a_flat, a in enumerate(iter_tuples(sc.settings)):
+        for x_flat, x in enumerate(iter_tuples(sc.outcomes)):
             ops = [instr.operators[a_k][x_k] for instr, a_k, x_k in zip(instruments, a, x)]
             table[x_flat * sc.n_settings + a_flat] = reference_trace(pm.matrix, ops)
     return table

@@ -27,7 +27,7 @@ from causelab.errors import (
     ScenarioMismatch,
 )
 from causelab.games import bfw_process, builtin_gynin, builtin_ocb, pr_box_correlation, score
-from causelab.scenario import flatten, strides, unflatten
+from causelab.scenario import flatten, iter_tuples, strides, unflatten
 
 from conftest import (
     identity_loop,
@@ -162,10 +162,10 @@ def five_deep_evaluation(process, family) -> tuple[Fraction, ...]:
     sc = process.scenario
     n_a = sc.n_settings
     table = [Fraction(0)] * (sc.n_outcomes * n_a)
-    for a_flat, a in enumerate(sc.setting_tuples()):
-        for i in sc.input_tuples():
-            for o in sc.output_tuples():
-                for x_flat, x in enumerate(sc.outcome_tuples()):
+    for a_flat, a in enumerate(iter_tuples(sc.settings)):
+        for i in iter_tuples(sc.inputs):
+            for o in iter_tuples(sc.outputs):
+                for x_flat, x in enumerate(iter_tuples(sc.outcomes)):
                     term = process.prob(i, o)
                     for k in range(sc.n_parties):
                         term *= family.prob(k, x[k], o[k], a[k], i[k])
